@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 yes/valid, 1 no/unsat/invalid, 2 usage or format error,
-3 budget exceeded.  Machine-readable output lines are prefixed `s`/`v`.
+3 budget exceeded, 4 internal error.  Machine-readable output lines are
+prefixed `s`/`v`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from .errors import BudgetExceeded, FormatError
 from .formula import emit_cnf, nae_satisfies, occurrence_counts, parse_cnf
 from .graphs import (
+    DEFAULT_COLOURING_NODE_BUDGET,
     emit_colouring,
     emit_graph,
     enumerate_triangles,
@@ -36,7 +38,6 @@ from .reduction import (
 )
 from .solvers import (
     SearchBudget,
-    _randbelow,
     brute_force_cut,
     brute_force_nae,
     emit_cut_witness,
@@ -45,6 +46,7 @@ from .solvers import (
     generate_instance,
     parse_cut_witness,
     parse_nae_witness,
+    randbelow,
 )
 from .transform import (
     check_properties,
@@ -55,8 +57,6 @@ from .transform import (
     split_repeated_variables,
     transform_map_comments,
 )
-
-DEFAULT_COLOUR_BUDGET = 10_000_000
 
 
 def _read(path: str) -> str:
@@ -94,15 +94,8 @@ def cmd_transform(args) -> int:
 
 def cmd_reduce(args) -> int:
     f = parse_cnf(_read(args.cnf))
-    if args.skip_transform:
-        report = check_properties(f)
-        if not report.all_hold():
-            raise FormatError(
-                "formula violates the split properties: " + ", ".join(report.failures())
-            )
-        prepared = f
-    else:
-        prepared, _ = split_repeated_variables(f)
+    # build_graph rejects a formula that violates the split properties.
+    prepared = f if args.skip_transform else split_repeated_variables(f)[0]
     g, rm = build_graph(prepared)
     colouring = construct_5_colouring(g, rm)
     print(f"vertices {g.num_vertices}")
@@ -305,8 +298,8 @@ def cmd_roundtrip(args) -> int:
     rng = random.Random(args.seed)
     failed = 0
     for t in range(args.trials):
-        n = 3 + _randbelow(rng, args.num_vars - 2)
-        m = 1 + _randbelow(rng, args.num_clauses)
+        n = 3 + randbelow(rng, args.num_vars - 2)
+        m = 1 + randbelow(rng, args.num_clauses)
         instance_seed = rng.getrandbits(32)
         f = generate_instance(instance_seed, n, m)
         problems = _roundtrip_trial(f, args.break_gadget)
@@ -353,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_COLOUR_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_COLOURING_NODE_BUDGET)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("triangles", help="list the triangles of a graph")
@@ -390,6 +383,10 @@ def main(argv=None) -> int:
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A crash is not an answer: exit 1 is reserved for a real "no".
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

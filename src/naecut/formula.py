@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .graphs import Graph
+from .textio import ints, read_header, records
 
 # Total truth assignment, variable index -> value.
 Assignment = dict[int, bool]
@@ -49,7 +50,7 @@ class Clause:
             raise ValueError(f"clause length must be 2 or 3, got {len(self.literals)}")
         variables = [lit.var for lit in self.literals]
         if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable in clause")
+            raise ValueError(f"duplicate variable in clause {self.signed()}")
 
     @staticmethod
     def from_signed(*lits: int) -> "Clause":
@@ -88,64 +89,37 @@ class CnfFormula:
 
 def parse_cnf(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF: `c` comments, one `p cnf <n> <m>` header, 0-terminated clauses."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     header = None
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    clause_lists: list[list[int]] = []
+    current: list[int] = []
+    for line, tokens in records(text):
         if line.startswith("p"):
             if header is not None:
                 raise FormatError("duplicate 'p cnf' header")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise FormatError(f"malformed header: {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise FormatError(f"malformed header: {line!r}") from None
-            if header[0] < 0 or header[1] < 0:
-                raise FormatError(f"malformed header: {line!r}")
-            continue
-        if header is None:
+            header = read_header(tokens, "cnf", line)
+        elif header is None:
             raise FormatError("clause data before 'p cnf' header")
-        tokens.extend(line.split())
+        else:
+            for lit in ints(tokens, "clause line", line):
+                if lit:
+                    current.append(lit)
+                else:
+                    clause_lists.append(current)
+                    current = []
     if header is None:
         raise FormatError("missing 'p cnf' header")
     num_vars, num_clauses = header
-
-    clauses: list[Clause] = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise FormatError(f"non-integer token {tok!r} in clause data") from None
-        if lit == 0:
-            clauses.append(_build_clause(current, num_vars))
-            current = []
-        else:
-            if abs(lit) > num_vars:
-                raise FormatError(f"variable {abs(lit)} out of range 1..{num_vars}")
-            current.append(lit)
+    try:
+        f = CnfFormula.from_ints(num_vars, clause_lists)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     if current:
         raise FormatError("unterminated clause at end of input")
-    if len(clauses) != num_clauses:
+    if len(f.clauses) != num_clauses:
         raise FormatError(
-            f"header promises {num_clauses} clauses, found {len(clauses)}"
+            f"header promises {num_clauses} clauses, found {len(f.clauses)}"
         )
-    return CnfFormula(num_vars, tuple(clauses))
-
-
-def _build_clause(lits: list[int], num_vars: int) -> Clause:
-    if len(lits) not in (2, 3):
-        raise FormatError(f"clause length must be 2 or 3, got {len(lits)}")
-    variables = [abs(x) for x in lits]
-    if len(set(variables)) != len(variables):
-        raise FormatError(f"duplicate variable in clause {lits}")
-    return Clause.from_signed(*lits)
+    return f
 
 
 def emit_cnf(f: CnfFormula) -> str:

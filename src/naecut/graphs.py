@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FormatError
+from .textio import ints, read_header, records
 
 DEFAULT_COLOURING_NODE_BUDGET = 10_000_000
 
@@ -95,54 +96,32 @@ def complete_graph(n: int) -> Graph:
 
 def parse_graph(text: str | bytes) -> Graph:
     """Parse a DIMACS-col style graph: `p edge <n> <m>` header, `e <u> <v>` lines."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    edges: list[tuple[int, ...]] = []
+    for line, tokens in records(text):
+        if tokens[0] == "p":
             if header is not None:
                 raise FormatError("duplicate 'p edge' header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise FormatError(f"malformed header: {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise FormatError(f"malformed header: {line!r}") from None
-            if header[0] < 0 or header[1] < 0:
-                raise FormatError(f"malformed header: {line!r}")
-            continue
-        if parts[0] == "e":
+            header = read_header(tokens, "edge", line)
+        elif tokens[0] == "e":
             if header is None:
                 raise FormatError("edge line before 'p edge' header")
-            if len(parts) != 3:
+            if len(tokens) != 3:
                 raise FormatError(f"malformed edge line: {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(f"malformed edge line: {line!r}") from None
-            if u == v:
-                raise FormatError(f"self-loop at vertex {u}")
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"edge ({u},{v}) out of range 1..{n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise FormatError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            edges.append(e)
-            continue
-        raise FormatError(f"unrecognized line: {line!r}")
+            edges.append(ints(tokens[1:], "edge line", line))
+        else:
+            raise FormatError(f"unrecognized line: {line!r}")
     if header is None:
         raise FormatError("missing 'p edge' header")
+    try:
+        g = Graph(header[0], edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    if len(g.edges) != len(edges):
+        raise FormatError(f"duplicate edge: {len(edges)} edge lines name {len(g.edges)} edges")
     if len(edges) != header[1]:
         raise FormatError(f"header promises {header[1]} edges, found {len(edges)}")
-    return Graph(header[0], edges)
+    return g
 
 
 def emit_graph(g: Graph) -> str:
@@ -153,36 +132,24 @@ def emit_graph(g: Graph) -> str:
 
 def parse_colouring(text: str | bytes) -> Colouring:
     """Parse a colouring certificate: `k <k>` header, then `<vertex> <colour>` lines."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     k = None
     colours: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "k":
+    for line, tokens in records(text):
+        if tokens[0] == "k":
             if k is not None:
                 raise FormatError("duplicate 'k' header")
-            if len(parts) != 2:
+            if len(tokens) != 2:
                 raise FormatError(f"malformed colour header: {line!r}")
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise FormatError(f"malformed colour header: {line!r}") from None
-            continue
-        if k is None:
+            (k,) = ints(tokens[1:], "colour header", line)
+        elif k is None:
             raise FormatError("colour line before 'k' header")
-        if len(parts) != 2:
+        elif len(tokens) != 2:
             raise FormatError(f"malformed colour line: {line!r}")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"malformed colour line: {line!r}") from None
-        if v in colours:
-            raise FormatError(f"vertex {v} coloured twice")
-        colours[v] = c
+        else:
+            v, c = ints(tokens, "colour line", line)
+            if v in colours:
+                raise FormatError(f"vertex {v} coloured twice")
+            colours[v] = c
     if k is None:
         raise FormatError("missing 'k' header")
     return Colouring(colours, k)

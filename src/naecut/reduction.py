@@ -24,6 +24,7 @@ from .graphs import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+from .textio import ints, records
 from .transform import check_properties
 
 
@@ -304,37 +305,27 @@ def emit_reduction_map(rm: ReductionMap) -> str:
 
 
 def parse_reduction_map(text: str | bytes) -> ReductionMap:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Read the `var`, `tri` and `gad` lines written by emit_reduction_map."""
     var_vertex: dict[int, int] = {}
     clause_triangle: dict[int, tuple[int, int, int]] = {}
     clause_gadget: dict[int, Gadget] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        kind, expected = parts[0], {"var": 3, "tri": 5, "gad": 7}.get(parts[0])
-        if expected is None:
-            raise FormatError(f"unrecognized map line: {raw!r}")
-        if len(parts) != expected:
-            raise FormatError(f"malformed {kind} line: {raw!r}")
-        try:
-            values = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise FormatError(f"malformed {kind} line: {raw!r}") from None
-        if kind == "var":
-            if values[0] in var_vertex:
-                raise FormatError(f"variable {values[0]} mapped twice")
-            var_vertex[values[0]] = values[1]
-        elif kind == "tri":
-            if values[0] in clause_triangle:
-                raise FormatError(f"clause {values[0]} mapped twice")
-            clause_triangle[values[0]] = (values[1], values[2], values[3])
-        else:
-            if values[0] in clause_gadget:
-                raise FormatError(f"clause {values[0]} mapped twice")
-            clause_gadget[values[0]] = Gadget(*values[1:])
+    # kind -> (table, tokens per line, what the key names, value builder)
+    schema = {
+        "var": (var_vertex, 3, "variable", lambda values: values[0]),
+        "tri": (clause_triangle, 5, "clause", tuple),
+        "gad": (clause_gadget, 7, "clause", lambda values: Gadget(*values)),
+    }
+    for line, tokens in records(text):
+        kind = tokens[0]
+        if kind not in schema:
+            raise FormatError(f"unrecognized map line: {line!r}")
+        table, arity, noun, build = schema[kind]
+        if len(tokens) != arity:
+            raise FormatError(f"malformed {kind} line: {line!r}")
+        key, *values = ints(tokens[1:], f"{kind} line", line)
+        if key in table:
+            raise FormatError(f"{noun} {key} mapped twice")
+        table[key] = build(values)
     if not var_vertex:
         raise FormatError("no var lines found")
     ids = [v for v in var_vertex.values()]

@@ -31,6 +31,7 @@ from .graphs import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+from .textio import ints, records
 
 _MAX_CLAUSE_ATTEMPTS = 10_000
 
@@ -328,7 +329,7 @@ def cut_from_4colouring(g: Graph, colouring: Colouring) -> Cut:
     return cut
 
 
-def _randbelow(rng: random.Random, bound: int) -> int:
+def randbelow(rng: random.Random, bound: int) -> int:
     """Uniform integer in [0, bound) from raw generator bits.
 
     Uses getrandbits with rejection so the sampling procedure is pinned to
@@ -363,7 +364,7 @@ def generate_instance(
         for _attempt in range(_MAX_CLAUSE_ATTEMPTS):
             chosen: list[int] = []
             while len(chosen) < 3:
-                v = _randbelow(rng, num_vars) + 1
+                v = randbelow(rng, num_vars) + 1
                 if v not in chosen:
                     chosen.append(v)
             triple = tuple(sorted(chosen))
@@ -392,31 +393,30 @@ def emit_nae_witness(witness: Assignment | None) -> str:
     return "s NAE-SATISFIABLE\nv " + " ".join(str(x) for x in lits) + " 0\n"
 
 
-def parse_nae_witness(text: str | bytes) -> Assignment | None:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def _read_witness(text: str | bytes, found: str, none: str) -> tuple[bool, list[int]]:
+    """(last `s` status is `found`, not `none`; non-zero ints of all `v` lines); others ignored."""
     status = None
-    witness: Assignment = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    values: list[int] = []
+    for line, _ in records(text):
         if line.startswith("s "):
             status = line[2:].strip()
-            continue
-        if line.startswith("v"):
-            for tok in line[1:].split():
-                lit = int(tok)
-                if lit == 0:
-                    continue
-                var = abs(lit)
-                if var in witness and witness[var] != (lit > 0):
-                    raise FormatError(f"conflicting values for variable {var}")
-                witness[var] = lit > 0
-    if status == "NAE-UNSATISFIABLE":
-        return None
-    if status != "NAE-SATISFIABLE":
+        elif line.startswith("v"):
+            values.extend(x for x in ints(line[1:].split(), "v line", line) if x)
+    if status not in (found, none):
         raise FormatError("missing or unrecognized witness status line")
+    return status == found, values
+
+
+def parse_nae_witness(text: str | bytes) -> Assignment | None:
+    satisfiable, lits = _read_witness(text, "NAE-SATISFIABLE", "NAE-UNSATISFIABLE")
+    witness: Assignment = {}
+    for lit in lits:
+        var = abs(lit)
+        if var in witness and witness[var] != (lit > 0):
+            raise FormatError(f"conflicting values for variable {var}")
+        witness[var] = lit > 0
+    if not satisfiable:
+        return None
     if not witness:
         raise FormatError("satisfiable witness carries no `v` line")
     return witness
@@ -431,28 +431,12 @@ def emit_cut_witness(cut: Cut | None) -> str:
 
 
 def parse_cut_witness(text: str | bytes, num_vertices: int) -> Cut | None:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    status = None
-    side_a: set[int] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("s "):
-            status = line[2:].strip()
-            continue
-        if line.startswith("v"):
-            for tok in line[1:].split():
-                v = int(tok)
-                if v == 0:
-                    continue
-                if not (1 <= v <= num_vertices):
-                    raise FormatError(f"vertex {v} out of range 1..{num_vertices}")
-                side_a.add(v)
-    if status == "NO-CUT":
+    found, ids = _read_witness(text, "CUT-FOUND", "NO-CUT")
+    for v in ids:
+        if not (1 <= v <= num_vertices):
+            raise FormatError(f"vertex {v} out of range 1..{num_vertices}")
+    if not found:
         return None
-    if status != "CUT-FOUND":
-        raise FormatError("missing or unrecognized witness status line")
+    side_a = frozenset(ids)
     side_b = frozenset(v for v in range(1, num_vertices + 1) if v not in side_a)
-    return Cut(frozenset(side_a), side_b)
+    return Cut(side_a, side_b)

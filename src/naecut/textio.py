@@ -1,0 +1,42 @@
+"""The line grammar shared by every naecut text format.
+
+Input is UTF-8 text or bytes with LF or CRLF line ends; blank lines and
+lines starting with `c` are skipped; values are whitespace-separated
+integer tokens; malformed input raises FormatError.
+"""
+
+from __future__ import annotations
+
+from .errors import FormatError
+
+
+def lines(text: str | bytes):
+    """The stripped, non-blank lines of the text."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line:
+            yield line
+
+
+def records(text: str | bytes):
+    """(line, tokens) for each non-blank line that is not a `c` comment."""
+    for line in lines(text):
+        if not line.startswith("c"):
+            yield line, line.split()
+
+
+def ints(tokens, what: str, line: str) -> tuple[int, ...]:
+    """The tokens as integers; FormatError naming the line otherwise."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise FormatError(f"malformed {what}: {line!r}") from None
+
+
+def read_header(tokens, tag: str, line: str) -> tuple[int, ...]:
+    """The two counts of a `p <tag> <a> <b>` line; callers' constructors reject negatives."""
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != tag:
+        raise FormatError(f"malformed header: {line!r}")
+    return ints(tokens[2:], "header", line)

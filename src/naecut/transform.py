@@ -20,6 +20,7 @@ from .formula import (
     is_monotone_3sat,
     occurrence_counts,
 )
+from .textio import ints, lines
 
 
 @dataclass(frozen=True)
@@ -247,28 +248,21 @@ def transform_map_comments(tm: TransformMap) -> str:
 
 def parse_transform_map(text: str | bytes) -> TransformMap:
     """Read `map ...` lines, bare or embedded as `c map ...` DIMACS comments."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     replacements: dict[int, tuple[int, ...]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
+    for line in lines(text):
         if line.startswith("c "):
             line = line[2:].strip()
         if not line.startswith("map "):
             continue
         parts = line.split()
         if len(parts) < 3:
-            raise FormatError(f"malformed map line: {raw!r}")
-        try:
-            values = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise FormatError(f"malformed map line: {raw!r}") from None
-        x, copies = values[0], tuple(values[1:])
+            raise FormatError(f"malformed map line: {line!r}")
+        x, *copies = ints(parts[1:], "map line", line)
         if x in replacements:
             raise FormatError(f"variable {x} mapped twice")
         if copies[0] != x:
             raise FormatError(f"first copy of variable {x} must be {x} itself")
-        replacements[x] = copies
+        replacements[x] = tuple(copies)
     if not replacements:
         raise FormatError("no map lines found")
     n = max(replacements)

@@ -152,6 +152,18 @@ def test_color_command(tmp_path, capsys):
     assert out == "s NO-COLOURING\n"
 
 
+def test_internal_error_exits_4_not_no(tmp_path, capsys):
+    # The colouring search recurses once per vertex, so a long path overflows
+    # the interpreter stack; the crash must not be reported as "no colouring".
+    path = tmp_path / "path3000.graph"
+    path.write_text("p edge 3000 2999\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 3000)))
+    code = main(["color", str(path), "-k", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: RecursionError: ")
+
+
 def test_triangles_command(tmp_path, capsys):
     k3 = tmp_path / "k3.graph"
     k3.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
@@ -237,6 +249,8 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     src.write_text(K3_CNF)
     cert = tmp_path / "c.txt"
     cert.write_text("garbage\n")
+    assert run(capsys, "verify", "assignment", str(src), str(cert))[0] == 2
+    cert.write_text("s NAE-SATISFIABLE\nv 1 x 0\n")
     assert run(capsys, "verify", "assignment", str(src), str(cert))[0] == 2
 
 

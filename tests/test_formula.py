@@ -40,6 +40,8 @@ def test_parse_rejects_duplicate_variable_in_clause():
 def test_parse_accepts_comments_and_crlf():
     f = parse_cnf("c comment\r\np cnf 3 1\r\n1 2 3 0\r\nc trailing\r\n")
     assert f == parse_cnf("p cnf 3 1\n1 2 3 0\n")
+    # Bytes are decoded as UTF-8, and a clause may span lines.
+    assert f == parse_cnf(b"p cnf 3 1\n\n1 2\n  3 0\n")
 
 
 def test_parse_error_cases():
@@ -57,6 +59,19 @@ def test_parse_error_cases():
         parse_cnf("p cnf 3 2\n1 2 3 0")  # clause count mismatch
     with pytest.raises(FormatError):
         parse_cnf("p cnf 3 1\np cnf 3 1\n1 2 3 0")  # duplicate header
+    for text in (
+        "p cnf 3 1\n1 2 x 0",  # non-integer token
+        "p cnf 3 1\n1 2 -4 0",  # negative literal out of range
+        "p cnf 3 1\n1 0",  # clause too short
+        "p cnf 3 1\n1 -1 2 0",  # variable repeated with both signs
+        "p cnf 3\n1 2 3 0",  # header arity
+        "p dnf 3 1\n1 2 3 0",  # header tag
+        "p cnf -3 1\n1 2 3 0",  # negative header
+        "1 2 3 0\np cnf 3 1",  # clause before header
+        "",  # empty input
+    ):
+        with pytest.raises(FormatError):
+            parse_cnf(text)
 
 
 def test_emit_single_clause():

@@ -47,6 +47,10 @@ def test_graph_constructor_rejects_bad_edges():
 def test_parse_k3():
     g = parse_graph("p edge 3 3\ne 1 2\ne 1 3\ne 2 3")
     assert g == complete_graph(3)
+    # Comments, blank lines, CRLF, reversed endpoints and bytes are accepted.
+    text = "c k3\r\np edge 3 3\r\n\r\ne 2 1\r\nc mid\r\ne 1 3\r\ne 3 2\r\n"
+    assert parse_graph(text) == g
+    assert parse_graph(text.encode()) == g
 
 
 def test_parse_rejects_self_loop():
@@ -63,6 +67,19 @@ def test_parse_error_cases():
         parse_graph("p edge 3 2\ne 1 2\ne 2 1")  # duplicate after normalization
     with pytest.raises(FormatError):
         parse_graph("p edge 2 1\ne 1 3")  # out of range
+    for text in (
+        "p edge 2 1\ne 0 1",  # vertex 0
+        "p edge 2 1\ne 1 x",  # non-integer vertex
+        "p edge 2 1\ne 1",  # edge line arity
+        "p edge 2 1\np edge 2 1\ne 1 2",  # duplicate header
+        "p col 2 1\ne 1 2",  # header tag
+        "p edge 2\ne 1 2",  # header arity
+        "p edge -2 0",  # negative header
+        "p edge 2 1\nx 1 2",  # unrecognized line
+        "",  # empty input
+    ):
+        with pytest.raises(FormatError):
+            parse_graph(text)
 
 
 def test_graph_roundtrip_normalizes():
@@ -137,6 +154,10 @@ def test_colouring_certificate_roundtrip():
         parse_colouring("1 1\n")
     with pytest.raises(FormatError):
         parse_colouring("k 3\n1 1\n1 2\n")
+    assert parse_colouring("c note\r\nk 3\r\n\r\n1 1\r\n2 2\r\n3 3\r\n") == c
+    for text in ("k 3\nk 3\n1 1\n", "k\n1 1\n", "k x\n", "k 3\n1 1 1\n", "k 3\n1 x\n", ""):
+        with pytest.raises(FormatError):
+            parse_colouring(text)
 
 
 def test_cut_verification_on_k3():

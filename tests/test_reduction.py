@@ -5,6 +5,7 @@ import pytest
 from naecut import (
     CnfFormula,
     Cut,
+    FormatError,
     Graph,
     assignment_to_cut,
     brute_force_nae,
@@ -14,7 +15,13 @@ from naecut import (
     construct_5_colouring,
     cut_from_vertex_assignment,
     cut_to_assignment,
+    emit_cnf,
+    emit_colouring,
+    emit_cut_witness,
+    emit_graph,
+    emit_nae_witness,
     emit_reduction_map,
+    emit_transform_map,
     enumerate_triangles,
     exhaustive_budget,
     extract_nae,
@@ -22,11 +29,19 @@ from naecut import (
     generate_instance,
     graph_from_reduction_map,
     incidence_graph,
+    lift_assignment,
     max_degree,
     nae_satisfies,
     occurrence_counts,
+    parse_cnf,
+    parse_colouring,
+    parse_cut_witness,
+    parse_graph,
+    parse_nae_witness,
     parse_reduction_map,
+    parse_transform_map,
     split_repeated_variables,
+    transform_map_comments,
     verify_colouring,
     verify_cut_triangle_free,
 )
@@ -100,6 +115,58 @@ def test_reduction_map_serialization_roundtrip():
     parsed = parse_reduction_map(text)
     assert parsed == rm
     assert graph_from_reduction_map(parsed) == g
+
+
+def test_reduction_map_parse_errors():
+    for text in (
+        "var 1 1\nedge 1 2\n",  # unknown map line
+        "var 1\n",  # var arity
+        "var 1 1\ntri 1 1 2\n",  # tri arity
+        "var 1 1\ngad 1 1 2 3 4\n",  # gad arity
+        "var 1 1\nvar 1 2\n",  # variable mapped twice
+        "var 1 1\ntri 1 1 2 3\ntri 1 1 2 3\n",  # clause mapped twice
+        "var 1 1\ngad 1 1 2 3 4 5\ngad 1 1 2 3 4 5\n",  # clause mapped twice
+        "tri 1 1 2 3\n",  # no var lines
+        "var 1 x\n",  # non-integer
+        "",
+    ):
+        with pytest.raises(FormatError):
+            parse_reduction_map(text)
+
+
+def test_text_formats_roundtrip_on_reduction_outputs():
+    """Every emitter's text, also with a comment and CRLF, parses back to its object."""
+
+    def variants(text):
+        return (text, "c note\r\n" + text.replace("\n", "\r\n"), text.encode())
+
+    for seed in range(8):
+        f = generate_instance(seed, 4 + seed, 3 + 2 * seed)
+        split, tm = split_repeated_variables(f)
+        g, rm = build_graph(split)
+        colouring = construct_5_colouring(g, rm)
+        witness = brute_force_nae(f, exhaustive_budget(f.num_vars))
+        cut = None
+        lifted = None
+        if witness is not None:
+            lifted = lift_assignment(tm, witness)
+            cut = assignment_to_cut(split, rm, lifted)
+        for text in variants(emit_cnf(split)):
+            assert parse_cnf(text) == split
+        for text in variants(emit_transform_map(tm)):
+            assert parse_transform_map(text).replacements == tm.replacements
+        for text in variants(transform_map_comments(tm)):
+            assert parse_transform_map(text).replacements == tm.replacements
+        for text in variants(emit_graph(g)):
+            assert parse_graph(text) == g
+        for text in variants(emit_reduction_map(rm)):
+            assert parse_reduction_map(text) == rm
+        for text in variants(emit_colouring(colouring)):
+            assert parse_colouring(text) == colouring
+        for text in variants(emit_nae_witness(lifted)):
+            assert parse_nae_witness(text) == lifted
+        for text in variants(emit_cut_witness(cut)):
+            assert parse_cut_witness(text, g.num_vertices) == cut
 
 
 def test_colouring_single_triangle():

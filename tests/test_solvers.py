@@ -8,6 +8,7 @@ from naecut import (
     CnfFormula,
     Colouring,
     Cut,
+    FormatError,
     Graph,
     SearchBudget,
     assignment_from_4colouring,
@@ -288,6 +289,41 @@ def test_witness_text_roundtrip():
     assert text == "s CUT-FOUND\nv 3 0\n"
     assert parse_cut_witness(text, 3) == cut
     assert parse_cut_witness(emit_cut_witness(None), 3) is None
+
+    # Comments, CRLF, bytes and lines other than `s`/`v` are accepted.
+    assert parse_nae_witness("c x\r\no 7\r\ns NAE-SATISFIABLE\r\nv -1 -2\r\nv 3 0\r\n") == witness
+    assert parse_nae_witness(b"s NAE-SATISFIABLE\nv -1 -2 3 0\n") == witness
+    assert parse_cut_witness("c x\r\no 7\r\ns CUT-FOUND\r\n\r\nv 3 0\r\n", 3) == cut
+    assert parse_cut_witness(b"s CUT-FOUND\nv 0\n", 3) == Cut(frozenset(), frozenset({1, 2, 3}))
+
+
+def test_witness_parse_error_cases():
+    for text in (
+        "v 1 0\n",  # missing status line
+        "s MAYBE\nv 1 0\n",  # unknown status line
+        "s NAE-SATISFIABLE\n",  # no `v` line
+        "s NAE-SATISFIABLE\nv 0\n",  # empty `v` line
+        "s NAE-SATISFIABLE\nv 1 2 -1 0\n",  # conflicting values
+        "",
+    ):
+        with pytest.raises(FormatError):
+            parse_nae_witness(text)
+    for text in (
+        "v 1 0\n",  # missing status line
+        "s MAYBE\nv 1 0\n",  # unknown status line
+        "s CUT-FOUND\nv 1 4 0\n",  # vertex out of range
+        "s CUT-FOUND\nv -1 0\n",  # negative vertex
+        "",
+    ):
+        with pytest.raises(FormatError):
+            parse_cut_witness(text, 3)
+
+
+def test_witness_parsers_reject_non_integer_tokens():
+    with pytest.raises(FormatError):
+        parse_nae_witness("s NAE-SATISFIABLE\nv 1 x 0\n")
+    with pytest.raises(FormatError):
+        parse_cut_witness("s CUT-FOUND\nv 1 x 0\n", 3)
 
 
 def test_returned_witnesses_are_always_valid():

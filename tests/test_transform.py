@@ -163,3 +163,20 @@ def test_map_parse_errors():
         parse_transform_map("map 1 1\nmap 1 1\n")
     with pytest.raises(FormatError):
         parse_transform_map("map 1 2\n")
+    for text in (
+        "map 1\n",  # no copies
+        "map 1 x\n",  # non-integer
+        "c map 1 1 2\nc map 2 2\n",  # copies overlap
+        "map 2 2\n",  # does not cover 1..n
+    ):
+        with pytest.raises(FormatError):
+            parse_transform_map(text)
+
+
+def test_map_parse_accepts_comments_and_crlf():
+    # Only `map` lines count, bare or after `c `; CNF lines and other comments are skipped.
+    text = "p cnf 3 2\r\n1 2 3 0\r\nc note\r\n\r\nc map 1 1 3\r\n  map 2 2\r\n"
+    tm = parse_transform_map(text)
+    assert tm.replacements == {1: (1, 3), 2: (2,)}
+    assert (tm.num_original_vars, tm.num_output_vars) == (2, 3)
+    assert parse_transform_map(text.encode()).replacements == tm.replacements
