@@ -154,6 +154,12 @@ def test_map_serialization_roundtrip():
     assert parsed.replacements == tm.replacements
     # The same lines embedded as DIMACS comments parse identically.
     assert parse_transform_map(transform_map_comments(tm)).replacements == tm.replacements
+    # Only `map` lines count, bare or after `c `; CNF lines and other comments are skipped.
+    text = "p cnf 3 2\r\n1 2 3 0\r\nc note\r\n\r\nc map 1 1 3\r\n  map 2 2\r\n"
+    tm = parse_transform_map(text)
+    assert tm.replacements == {1: (1, 3), 2: (2,)}
+    assert (tm.num_original_vars, tm.num_output_vars) == (2, 3)
+    assert parse_transform_map(text.encode()).replacements == tm.replacements
 
 
 def test_map_parse_errors():
@@ -171,12 +177,3 @@ def test_map_parse_errors():
     ):
         with pytest.raises(FormatError):
             parse_transform_map(text)
-
-
-def test_map_parse_accepts_comments_and_crlf():
-    # Only `map` lines count, bare or after `c `; CNF lines and other comments are skipped.
-    text = "p cnf 3 2\r\n1 2 3 0\r\nc note\r\n\r\nc map 1 1 3\r\n  map 2 2\r\n"
-    tm = parse_transform_map(text)
-    assert tm.replacements == {1: (1, 3), 2: (2,)}
-    assert (tm.num_original_vars, tm.num_output_vars) == (2, 3)
-    assert parse_transform_map(text.encode()).replacements == tm.replacements
