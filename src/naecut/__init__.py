@@ -6,12 +6,11 @@ degree 8, translates certificates in both directions, and ships exact
 brute-force oracles that certify every claim at desk scale.
 """
 
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
     Assignment,
     Clause,
     CnfFormula,
-    Literal,
     complement_assignment,
     emit_cnf,
     incidence_graph,
@@ -53,7 +52,6 @@ from .reduction import (
     parse_reduction_map,
 )
 from .solvers import (
-    SearchBudget,
     assignment_from_4colouring,
     brute_force_cut,
     brute_force_nae,
@@ -66,7 +64,6 @@ from .solvers import (
     parse_nae_witness,
 )
 from .transform import (
-    ClauseOrigin,
     PropertyReport,
     TransformMap,
     check_properties,

@@ -12,10 +12,9 @@ import os
 import random
 import sys
 
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import emit_cnf, nae_satisfies, occurrence_counts, parse_cnf
 from .graphs import (
-    DEFAULT_COLOURING_NODE_BUDGET,
     emit_colouring,
     emit_graph,
     enumerate_triangles,
@@ -37,7 +36,6 @@ from .reduction import (
     parse_reduction_map,
 )
 from .solvers import (
-    SearchBudget,
     brute_force_cut,
     brute_force_nae,
     emit_cut_witness,
@@ -132,7 +130,7 @@ def cmd_solve_cut(args) -> int:
 
 def cmd_color(args) -> int:
     g = parse_graph(_read(args.graph))
-    colouring = find_k_colouring(g, args.k, node_budget=args.budget)
+    colouring = find_k_colouring(g, args.k, SearchBudget(max_states=args.budget))
     if colouring is None:
         print("s NO-COLOURING")
         return 1
@@ -169,9 +167,9 @@ def _verify_assignment(args) -> int:
         print("valid assignment")
         return 0
     for i, clause in enumerate(f.clauses, start=1):
-        values = [lit.value_under(witness) for lit in clause.literals]
+        values = [witness[abs(x)] == (x > 0) for x in clause.literals]
         if all(values) or not any(values):
-            lits = " ".join(str(s) for s in clause.signed())
+            lits = " ".join(str(x) for x in clause.literals)
             print(f"invalid: clause {i} ({lits}) has all-equal values")
             return 1
     print("invalid")
@@ -346,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_COLOURING_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=SearchBudget().max_states)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("triangles", help="list the triangles of a graph")

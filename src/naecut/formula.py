@@ -14,53 +14,30 @@ Assignment = dict[int, bool]
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A variable with a polarity; `var` is a 1-based index."""
-
-    var: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    @property
-    def signed(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @staticmethod
-    def from_signed(lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("0 is reserved as the clause terminator")
-        return Literal(abs(lit), lit < 0)
-
-    def value_under(self, assignment: Assignment) -> bool:
-        v = assignment[self.var]
-        return not v if self.negated else v
-
-
-@dataclass(frozen=True)
 class Clause:
-    """An ordered disjunction of 2 or 3 literals over distinct variables."""
+    """An ordered disjunction of 2 or 3 literals over distinct variables.
 
-    literals: tuple[Literal, ...]
+    A literal is a signed DIMACS integer: x for variable x, -x for its
+    complement; 0 is never a literal.
+    """
+
+    literals: tuple[int, ...]
 
     def __post_init__(self):
+        if 0 in self.literals:
+            raise ValueError("0 is reserved as the clause terminator")
         if len(self.literals) not in (2, 3):
             raise ValueError(f"clause length must be 2 or 3, got {len(self.literals)}")
-        variables = [lit.var for lit in self.literals]
+        variables = self.variables()
         if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in clause {self.signed()}")
+            raise ValueError(f"duplicate variable in clause {self.literals}")
 
     @staticmethod
     def from_signed(*lits: int) -> "Clause":
-        return Clause(tuple(Literal.from_signed(x) for x in lits))
+        return Clause(lits)
 
     def variables(self) -> tuple[int, ...]:
-        return tuple(lit.var for lit in self.literals)
-
-    def signed(self) -> tuple[int, ...]:
-        return tuple(lit.signed for lit in self.literals)
+        return tuple(abs(x) for x in self.literals)
 
 
 @dataclass(frozen=True)
@@ -74,10 +51,10 @@ class CnfFormula:
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
         for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.var > self.num_vars:
+            for x in clause.variables():
+                if x > self.num_vars:
                     raise ValueError(
-                        f"variable {lit.var} exceeds declared count {self.num_vars}"
+                        f"variable {x} exceeds declared count {self.num_vars}"
                     )
 
     @staticmethod
@@ -126,14 +103,14 @@ def emit_cnf(f: CnfFormula) -> str:
     """Emit DIMACS text with LF line endings; parse_cnf(emit_cnf(f)) == f."""
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for clause in f.clauses:
-        lines.append(" ".join(str(s) for s in clause.signed()) + " 0")
+        lines.append(" ".join(str(x) for x in clause.literals) + " 0")
     return "\n".join(lines) + "\n"
 
 
 def is_monotone_3sat(f: CnfFormula) -> bool:
     """True iff every clause has exactly three literals, all unnegated."""
     return all(
-        len(cl.literals) == 3 and not any(lit.negated for lit in cl.literals)
+        len(cl.literals) == 3 and min(cl.literals) > 0
         for cl in f.clauses
     )
 
@@ -144,7 +121,7 @@ def nae_satisfies(f: CnfFormula, assignment: Assignment) -> bool:
         if x not in assignment:
             raise ValueError(f"assignment is missing variable {x}")
     for clause in f.clauses:
-        values = [lit.value_under(assignment) for lit in clause.literals]
+        values = [assignment[abs(x)] == (x > 0) for x in clause.literals]
         if all(values) or not any(values):
             return False
     return True
@@ -163,17 +140,15 @@ def occurrence_counts(f: CnfFormula) -> dict[int, int]:
     return counts
 
 
-def incidence_graph(
-    f: CnfFormula, variant: str
-) -> tuple[Graph, dict[int, int], dict[int, int]]:
+def incidence_graph(f: CnfFormula, variant: str) -> Graph:
     """Co-occurrence graph of a monotone 3-SAT formula.
 
     Variant "A": one vertex per variable, an edge between two variables iff
     they share a clause.  Variant "B": variant A plus one vertex per clause,
     adjacent to that clause's three variable vertices.
 
-    Returns (graph, variable -> vertex, clause index -> vertex); the clause
-    map is empty for variant A.  Clause indices are 1-based.
+    Vertex x is variable x, and in variant B vertex n + j is clause j
+    (1-based), where n is the variable count.
     """
     if variant not in ("A", "B"):
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
@@ -184,14 +159,9 @@ def incidence_graph(
     for clause in f.clauses:
         for u, v in itertools.combinations(clause.variables(), 2):
             edges.add((u, v) if u < v else (v, u))
-    var_vertex = {x: x for x in range(1, n + 1)}
-    clause_vertex: dict[int, int] = {}
-    num_vertices = n
-    if variant == "B":
-        for j, clause in enumerate(f.clauses, start=1):
-            cv = n + j
-            clause_vertex[j] = cv
-            for x in clause.variables():
-                edges.add((x, cv))
-        num_vertices = n + len(f.clauses)
-    return Graph(num_vertices, edges), var_vertex, clause_vertex
+    if variant == "A":
+        return Graph(n, edges)
+    for j, clause in enumerate(f.clauses, start=1):
+        for x in clause.variables():
+            edges.add((x, n + j))
+    return Graph(n + len(f.clauses), edges)

@@ -5,10 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, SearchBudget
 from .textio import ints, read_header, records
-
-DEFAULT_COLOURING_NODE_BUDGET = 10_000_000
 
 
 class Graph:
@@ -43,9 +41,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbours(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -180,18 +175,17 @@ def max_degree(g: Graph) -> int:
     return max((len(s) for s in g.adj.values()), default=0)
 
 
-def find_k_colouring(
-    g: Graph, k: int, node_budget: int = DEFAULT_COLOURING_NODE_BUDGET
-) -> Colouring | None:
+def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Colouring | None:
     """Exact backtracking search for a proper k-colouring.
 
     Vertices are processed in id order and colours tried in increasing order,
     with vertex 1 pinned to colour 1 (a safe symmetry break), so the result is
-    deterministic.  Raises BudgetExceeded after `node_budget` attempted
+    deterministic.  Raises BudgetExceeded after `budget.max_states` attempted
     assignments; that is distinct from returning None (no colouring exists).
     """
     if k < 1:
         raise ValueError("colour count must be at least 1")
+    max_nodes = (budget or SearchBudget()).max_states
     n = g.num_vertices
     colours: dict[int, int] = {}
     nodes = 0
@@ -203,10 +197,8 @@ def find_k_colouring(
         limit = 1 if v == 1 else k
         for c in range(1, limit + 1):
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(
-                    f"colouring search exceeded {node_budget} nodes"
-                )
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"colouring search exceeded {max_nodes} nodes")
             if all(colours.get(u) != c for u in g.adj[v]):
                 colours[v] = c
                 if extend(v + 1):

@@ -51,11 +51,13 @@ class Gadget:
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Provenance linking formula elements to graph elements (1-based clause ids)."""
+    """Provenance linking formula elements to graph elements (1-based clause ids).
+
+    Variable x is vertex x; the map records only the clause structures.
+    """
 
     num_variables: int
     num_vertices: int
-    var_vertex: dict[int, int]
     clause_triangle: dict[int, tuple[int, int, int]]
     clause_gadget: dict[int, Gadget]
 
@@ -83,8 +85,8 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
             clause_triangle[ci] = (v1, v2, v3)
             edges.extend([(v1, v2), (v1, v3), (v2, v3)])
         else:
-            pos = next(lit.var for lit in clause.literals if not lit.negated)
-            neg = next(lit.var for lit in clause.literals if lit.negated)
+            pos = next(x for x in clause.literals if x > 0)
+            neg = next(-x for x in clause.literals if x < 0)
             gadget = Gadget(pos, neg, next_vertex, next_vertex + 1, next_vertex + 2)
             next_vertex += 3
             clause_gadget[ci] = gadget
@@ -93,7 +95,6 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
     rm = ReductionMap(
         num_variables=n,
         num_vertices=next_vertex - 1,
-        var_vertex={x: x for x in range(1, n + 1)},
         clause_triangle=clause_triangle,
         clause_gadget=clause_gadget,
     )
@@ -121,9 +122,9 @@ def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
     for ci in sorted(rm.clause_triangle):
         v1, v2, v3 = rm.clause_triangle[ci]
         colours[v1], colours[v2], colours[v3] = 1, 2, 3
-    for vx in rm.var_vertex.values():
-        if vx not in colours:
-            colours[vx] = 1
+    for x in range(1, rm.num_variables + 1):
+        if x not in colours:
+            colours[x] = 1
     for ci in sorted(rm.clause_gadget):
         gadget = rm.clause_gadget[ci]
         used = {colours[gadget.x], colours[gadget.y]}
@@ -148,8 +149,8 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
         raise ValueError("assignment does not NAE-satisfy the formula")
     side_a: set[int] = set()
     side_b: set[int] = set()
-    for x, vx in rm.var_vertex.items():
-        (side_a if assignment[x] else side_b).add(vx)
+    for x in range(1, rm.num_variables + 1):
+        (side_a if assignment[x] else side_b).add(x)
     for ci in sorted(rm.clause_gadget):
         gadget = rm.clause_gadget[ci]
         if gadget.x in side_a:
@@ -174,7 +175,7 @@ def cut_to_assignment(rm: ReductionMap, cut: Cut) -> Assignment:
     g = graph_from_reduction_map(rm)
     if not verify_cut_triangle_free(g, cut):
         raise ValueError("cut is not a triangle-free cut of the reduction graph")
-    return {x: (vx in cut.side_a) for x, vx in rm.var_vertex.items()}
+    return {x: (x in cut.side_a) for x in range(1, rm.num_variables + 1)}
 
 
 def extract_nae(g: Graph) -> tuple[CnfFormula, dict[int, int]]:
@@ -293,8 +294,8 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
 def emit_reduction_map(rm: ReductionMap) -> str:
     """Text form: `var`, `tri` and `gad` lines, consumed by the CLI verifier."""
     lines = []
-    for x in sorted(rm.var_vertex):
-        lines.append(f"var {x} {rm.var_vertex[x]}")
+    for x in range(1, rm.num_variables + 1):
+        lines.append(f"var {x} {x}")
     for ci in sorted(rm.clause_triangle):
         v1, v2, v3 = rm.clause_triangle[ci]
         lines.append(f"tri {ci} {v1} {v2} {v3}")
@@ -305,13 +306,16 @@ def emit_reduction_map(rm: ReductionMap) -> str:
 
 
 def parse_reduction_map(text: str | bytes) -> ReductionMap:
-    """Read the `var`, `tri` and `gad` lines written by emit_reduction_map."""
-    var_vertex: dict[int, int] = {}
+    """Read the `var`, `tri` and `gad` lines written by emit_reduction_map.
+
+    The `var` lines must be exactly `var x x` for x = 1..n.
+    """
+    variables: dict[int, int] = {}
     clause_triangle: dict[int, tuple[int, int, int]] = {}
     clause_gadget: dict[int, Gadget] = {}
     # kind -> (table, tokens per line, what the key names, value builder)
     schema = {
-        "var": (var_vertex, 3, "variable", lambda values: values[0]),
+        "var": (variables, 3, "variable", lambda values: values[0]),
         "tri": (clause_triangle, 5, "clause", tuple),
         "gad": (clause_gadget, 7, "clause", lambda values: Gadget(*values)),
     }
@@ -326,15 +330,17 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
         if key in table:
             raise FormatError(f"{noun} {key} mapped twice")
         table[key] = build(values)
-    if not var_vertex:
+    n = len(variables)
+    if not n:
         raise FormatError("no var lines found")
-    ids = [v for v in var_vertex.values()]
+    if variables != {x: x for x in range(1, n + 1)}:
+        raise FormatError(f"var lines must be 'var x x' for x = 1..{n}")
+    ids = [n]
     ids += [v for tri in clause_triangle.values() for v in tri]
     ids += [v for gadget in clause_gadget.values() for v in gadget.vertices()]
     return ReductionMap(
-        num_variables=len(var_vertex),
+        num_variables=n,
         num_vertices=max(ids),
-        var_vertex=var_vertex,
         clause_triangle=clause_triangle,
         clause_gadget=clause_gadget,
     )

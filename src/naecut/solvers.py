@@ -12,9 +12,8 @@ from "no solution exists".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
     Assignment,
     Clause,
@@ -34,17 +33,6 @@ from .graphs import (
 from .textio import ints, records
 
 _MAX_CLAUSE_ATTEMPTS = 10_000
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Cap on the number of search states a solver may enumerate."""
-
-    max_states: int = 2**24
-
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("budget must be positive")
 
 
 def exhaustive_budget(num_binary_choices: int) -> SearchBudget:
@@ -184,17 +172,13 @@ class _NaeEngine:
             if len(self.trail) == scanned:
                 return True
 
-    def solve(
-        self, fix_first_false: bool, require_some_true: bool, max_nodes: int
-    ) -> list[bool | None] | None:
+    def solve(self, require_some_true: bool, max_nodes: int) -> list[bool | None] | None:
+        """First model with variable 1 False, or None; needs at least one variable."""
         self.max_nodes = max_nodes
         self.require_some_true = require_some_true
-        if self.n == 0:
-            return None if require_some_true else []
-        if fix_first_false:
-            mark = self._mark()
-            if not (self._assign(1, False) and self._probe_around(mark)):
-                return None
+        mark = self._mark()
+        if not (self._assign(1, False) and self._probe_around(mark)):
+            return None
         if self._dfs(1):
             return list(self.value)
         return None
@@ -234,10 +218,8 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
         )
     if f.num_vars == 0:
         return {} if not f.clauses else None
-    engine = _NaeEngine(f.num_vars, [cl.signed() for cl in f.clauses])
-    result = engine.solve(
-        fix_first_false=True, require_some_true=False, max_nodes=budget.max_states
-    )
+    engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
+    result = engine.solve(require_some_true=False, max_nodes=budget.max_states)
     if result is None:
         return None
     witness = {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
@@ -263,9 +245,7 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
             f"2^{n - 1} candidate cuts exceed the budget of {budget.max_states} states"
         )
     engine = _NaeEngine(n, enumerate_triangles(g))
-    result = engine.solve(
-        fix_first_false=True, require_some_true=True, max_nodes=budget.max_states
-    )
+    result = engine.solve(require_some_true=True, max_nodes=budget.max_states)
     if result is None:
         return None
     side_a = frozenset(v for v in range(1, n + 1) if result[v])
@@ -287,13 +267,10 @@ def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignmen
         raise ValueError("fast path requires monotone 3-SAT input")
     if colouring.k > 4:
         raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    g, var_vertex, _ = incidence_graph(f, "A")
+    g = incidence_graph(f, "A")
     if not verify_colouring(g, colouring):
         raise ValueError("not a proper colouring of the incidence graph")
-    witness = {
-        x: colouring.colours[var_vertex[x]] in (1, 2)
-        for x in range(1, f.num_vars + 1)
-    }
+    witness = {x: colouring.colours[x] in (1, 2) for x in range(1, f.num_vars + 1)}
     if not nae_satisfies(f, witness):
         raise AssertionError("two-colour-class split failed to satisfy the formula")
     return witness

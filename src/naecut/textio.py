@@ -13,7 +13,10 @@ from .errors import FormatError
 def lines(text: str | bytes):
     """The stripped, non-blank lines of the text."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from None
     for raw in text.splitlines():
         line = raw.strip()
         if line:

@@ -9,32 +9,17 @@ satisfiability is preserved in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormatError
 from .formula import (
     Assignment,
     Clause,
     CnfFormula,
-    Literal,
     is_monotone_3sat,
     occurrence_counts,
 )
 from .textio import ints, lines
-
-
-@dataclass(frozen=True)
-class ClauseOrigin:
-    """Provenance of one output clause.
-
-    kind "prime": rewritten input clause; `source` is its 1-based index.
-    kind "equality": added chain clause; `source` is the original variable
-    and `link` the 1-based position of the chain edge.
-    """
-
-    kind: str
-    source: int
-    link: int = 0
 
 
 @dataclass(frozen=True)
@@ -44,7 +29,6 @@ class TransformMap:
     num_original_vars: int
     num_output_vars: int
     replacements: dict[int, tuple[int, ...]]
-    origins: tuple[ClauseOrigin, ...] = field(default=())
 
     def copies_of(self, var: int) -> tuple[int, ...]:
         return self.replacements[var]
@@ -83,27 +67,22 @@ def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
 
     cursor = {x: 0 for x in range(1, n + 1)}
     prime: list[Clause] = []
-    origins: list[ClauseOrigin] = []
-    for ci, clause in enumerate(f.clauses, start=1):
+    for clause in f.clauses:
         lits = []
-        for lit in clause.literals:
-            j = cursor[lit.var]
-            cursor[lit.var] += 1
-            lits.append(Literal(replacements[lit.var][j]))
+        for x in clause.literals:
+            j = cursor[x]
+            cursor[x] += 1
+            lits.append(replacements[x][j])
         prime.append(Clause(tuple(lits)))
-        origins.append(ClauseOrigin("prime", ci))
 
     equality: list[Clause] = []
     for x in range(1, n + 1):
         copies = replacements[x]
         for i in range(len(copies) - 1):
-            equality.append(
-                Clause((Literal(copies[i]), Literal(copies[i + 1], negated=True)))
-            )
-            origins.append(ClauseOrigin("equality", x, i + 1))
+            equality.append(Clause((copies[i], -copies[i + 1])))
 
     out = CnfFormula(next_fresh - 1, tuple(prime + equality))
-    tm = TransformMap(n, next_fresh - 1, replacements, tuple(origins))
+    tm = TransformMap(n, next_fresh - 1, replacements)
     return out, tm
 
 
@@ -161,18 +140,18 @@ def check_properties(f: CnfFormula) -> PropertyReport:
 
     shapes_ok = True
     for clause in f.clauses:
-        neg = sum(1 for lit in clause.literals if lit.negated)
+        neg = sum(1 for x in clause.literals if x < 0)
         if len(clause.literals) == 3:
             if neg != 0:
                 shapes_ok = False
         else:
             if neg != 1:
                 shapes_ok = False
-        for lit in clause.literals:
-            if lit.negated:
-                negated[lit.var] += 1
+        for x in clause.literals:
+            if x < 0:
+                negated[-x] += 1
             if len(clause.literals) == 3:
-                triple_membership[lit.var] += 1
+                triple_membership[abs(x)] += 1
         variables = sorted(clause.variables())
         for i in range(len(variables)):
             for j in range(i + 1, len(variables)):

@@ -198,7 +198,7 @@ def _fastpath_corpus():
             f = generate_instance(seed, n, m, distinct_pairs=True)
         except ValueError:
             continue
-        g, _, _ = incidence_graph(f, "A")
+        g = incidence_graph(f, "A")
         colouring = find_k_colouring(g, 4)
         if colouring is None:
             continue

@@ -1,3 +1,4 @@
+from naecut import complete_graph, emit_graph
 from naecut.cli import main
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
@@ -150,6 +151,15 @@ def test_color_command(tmp_path, capsys):
     code, out = run(capsys, "color", str(k3), "-k", "2")
     assert code == 1
     assert out == "s NO-COLOURING\n"
+
+
+def test_color_budget(tmp_path, capsys):
+    k8 = tmp_path / "k8.graph"
+    k8.write_text(emit_graph(complete_graph(8)))
+    code, out = run(capsys, "color", str(k8), "-k", "7", "--budget", "10")
+    assert (code, out) == (3, "")
+    # A non-positive budget is a usage error, as for NAE_REDUCE_BUDGET.
+    assert run(capsys, "color", str(k8), "-k", "7", "--budget", "0")[0] == 2
 
 
 def test_internal_error_exits_4_not_no(tmp_path, capsys):

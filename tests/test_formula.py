@@ -6,7 +6,6 @@ from naecut import (
     Clause,
     CnfFormula,
     FormatError,
-    Literal,
     complement_assignment,
     emit_cnf,
     enumerate_triangles,
@@ -24,12 +23,12 @@ def test_parse_smallest_monotone_instance():
     f = parse_cnf("p cnf 3 1\n1 2 3 0")
     assert f.num_vars == 3
     assert len(f.clauses) == 1
-    assert f.clauses[0].signed() == (1, 2, 3)
+    assert f.clauses[0].literals == (1, 2, 3)
 
 
 def test_parse_two_clause_shape():
     f = parse_cnf("p cnf 2 1\n1 -2 0")
-    assert f.clauses[0].signed() == (1, -2)
+    assert f.clauses[0].literals == (1, -2)
 
 
 def test_parse_rejects_duplicate_variable_in_clause():
@@ -68,6 +67,7 @@ def test_parse_error_cases():
         "p dnf 3 1\n1 2 3 0",  # header tag
         "p cnf -3 1\n1 2 3 0",  # negative header
         "1 2 3 0\np cnf 3 1",  # clause before header
+        b"p cnf 3 1\n1 2 \xff 0\n",  # bytes that are not UTF-8
         "",  # empty input
     ):
         with pytest.raises(FormatError):
@@ -132,24 +132,22 @@ def test_nae_is_self_complementary():
 
 def test_incidence_variant_a_is_k3():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
-    g, var_vertex, clause_vertex = incidence_graph(f, "A")
+    g = incidence_graph(f, "A")
     assert g.num_vertices == 3
     assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
-    assert var_vertex == {1: 1, 2: 2, 3: 3}
-    assert clause_vertex == {}
 
 
 def test_incidence_variant_b_is_k4():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
-    g, _, clause_vertex = incidence_graph(f, "B")
+    g = incidence_graph(f, "B")
     assert g.num_vertices == 4
     assert len(g.edges) == 6
-    assert clause_vertex == {1: 4}
+    assert g.adj[4] == {1, 2, 3}
 
 
 def test_incidence_two_triangles_sharing_a_vertex():
     f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
-    g, _, _ = incidence_graph(f, "A")
+    g = incidence_graph(f, "A")
     assert g.num_vertices == 5
     assert len(g.edges) == 6
     assert enumerate_triangles(g) == [(1, 2, 3), (1, 4, 5)]
@@ -164,7 +162,7 @@ def test_incidence_rejects_non_monotone_input():
 def test_incidence_edge_bound_and_clause_triangles():
     for seed in range(20):
         f = generate_instance(seed, 6, 8)
-        g, _, _ = incidence_graph(f, "A")
+        g = incidence_graph(f, "A")
         assert len(g.edges) <= 3 * len(f.clauses)
         triangles = set(enumerate_triangles(g))
         for clause in f.clauses:
@@ -181,7 +179,7 @@ def test_occurrence_counts():
 
 def test_literal_and_clause_invariants():
     with pytest.raises(ValueError):
-        Literal(0)
+        Clause.from_signed(1, 0, 2)
     with pytest.raises(ValueError):
         Clause.from_signed(1, 2, 3, 4)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from naecut import (
     Cut,
     FormatError,
     Graph,
+    SearchBudget,
     canonical_gadget,
     complete_graph,
     emit_colouring,
@@ -76,6 +77,7 @@ def test_parse_error_cases():
         "p edge 2\ne 1 2",  # header arity
         "p edge -2 0",  # negative header
         "p edge 2 1\nx 1 2",  # unrecognized line
+        b"p edge 2 1\ne 1 \xff\n",  # bytes that are not UTF-8
         "",  # empty input
     ):
         with pytest.raises(FormatError):
@@ -134,7 +136,7 @@ def test_colouring_complete_graph_boundaries():
 
 def test_colouring_budget_is_a_loud_failure():
     with pytest.raises(BudgetExceeded):
-        find_k_colouring(complete_graph(8), 7, node_budget=10)
+        find_k_colouring(complete_graph(8), 7, SearchBudget(max_states=10))
 
 
 def test_verify_colouring():

@@ -83,7 +83,7 @@ def test_triangle_membership_counts():
         out, _ = split_repeated_variables(f)
         g, rm = build_graph(out)
         triangles = enumerate_triangles(g)
-        for vx in rm.var_vertex.values():
+        for vx in range(1, rm.num_variables + 1):
             assert sum(1 for t in triangles if vx in t) <= 7
         for gadget in rm.clause_gadget.values():
             for v in gadget.internal_vertices():
@@ -115,6 +115,11 @@ def test_reduction_map_serialization_roundtrip():
     parsed = parse_reduction_map(text)
     assert parsed == rm
     assert graph_from_reduction_map(parsed) == g
+    assert emit_reduction_map(parsed) == text
+    for seed in range(8):
+        split, _ = split_repeated_variables(generate_instance(seed, 4 + seed, 3 + 2 * seed))
+        text = emit_reduction_map(build_graph(split)[1])
+        assert emit_reduction_map(parse_reduction_map(text)) == text
 
 
 def test_reduction_map_parse_errors():
@@ -124,10 +129,15 @@ def test_reduction_map_parse_errors():
         "var 1 1\ntri 1 1 2\n",  # tri arity
         "var 1 1\ngad 1 1 2 3 4\n",  # gad arity
         "var 1 1\nvar 1 2\n",  # variable mapped twice
+        "var 1 2\n",  # variable x is vertex x
+        "var 1 1\nvar 2 1\n",  # variable x is vertex x
+        "var 1 1\nvar 3 3\n",  # gap in the variables
+        "var 2 2\n",  # variables start at 1
         "var 1 1\ntri 1 1 2 3\ntri 1 1 2 3\n",  # clause mapped twice
         "var 1 1\ngad 1 1 2 3 4 5\ngad 1 1 2 3 4 5\n",  # clause mapped twice
         "tri 1 1 2 3\n",  # no var lines
         "var 1 x\n",  # non-integer
+        b"var 1 1\ntri 1 1 2 \xff\n",  # bytes that are not UTF-8
         "",
     ):
         with pytest.raises(FormatError):
@@ -293,7 +303,7 @@ def test_cut_assignment_roundtrip():
 def test_extract_nae_k3_and_triangle_free():
     f, vertex_var = extract_nae(complete_graph(3))
     assert f.num_vars == 3
-    assert [cl.signed() for cl in f.clauses] == [(1, 2, 3)]
+    assert [cl.literals for cl in f.clauses] == [(1, 2, 3)]
     assert vertex_var == {1: 1, 2: 2, 3: 3}
     empty, _ = extract_nae(Graph(4, [(1, 2), (3, 4)]))
     assert empty.clauses == ()
@@ -332,7 +342,7 @@ def test_extract_incidence_is_subgraph_of_source():
         out, _ = split_repeated_variables(f)
         g, _ = build_graph(out)
         extracted, _ = extract_nae(g)
-        inc, _, _ = incidence_graph(extracted, "A")
+        inc = incidence_graph(extracted, "A")
         assert inc.edges <= g.edges
 
 

@@ -39,7 +39,7 @@ def naive_nae_smallest(f):
         a = {i + 1: bits[i] for i in range(f.num_vars)}
         ok = True
         for cl in f.clauses:
-            vals = [(not a[l.var]) if l.negated else a[l.var] for l in cl.literals]
+            vals = [a[abs(x)] == (x > 0) for x in cl.literals]
             if all(vals) or not any(vals):
                 ok = False
                 break
@@ -160,7 +160,7 @@ def test_search_node_cap_is_a_loud_failure():
 
     engine = _NaeEngine(10, [])
     with pytest.raises(BudgetExceeded):
-        engine.solve(fix_first_false=True, require_some_true=True, max_nodes=5)
+        engine.solve(require_some_true=True, max_nodes=5)
 
 
 def test_extraction_cut_oracle_agreement():
@@ -208,7 +208,7 @@ def test_assignment_from_4colouring_property_sweep():
             f = generate_instance(seed, 5 + seed % 6, 2 + seed % 5, distinct_pairs=True)
         except ValueError:
             continue
-        g, _, _ = incidence_graph(f, "A")
+        g = incidence_graph(f, "A")
         colouring = find_k_colouring(g, 4)
         if colouring is None:
             continue
@@ -244,7 +244,7 @@ def test_cut_from_4colouring_rejects_improper():
 
 def test_generator_single_possible_clause():
     f = generate_instance(1, 3, 1)
-    assert [cl.signed() for cl in f.clauses] == [(1, 2, 3)]
+    assert [cl.literals for cl in f.clauses] == [(1, 2, 3)]
 
 
 def test_generator_is_deterministic():
@@ -304,6 +304,7 @@ def test_witness_parse_error_cases():
         "s NAE-SATISFIABLE\n",  # no `v` line
         "s NAE-SATISFIABLE\nv 0\n",  # empty `v` line
         "s NAE-SATISFIABLE\nv 1 2 -1 0\n",  # conflicting values
+        b"s NAE-SATISFIABLE\nv 1 \xff 0\n",  # bytes that are not UTF-8
         "",
     ):
         with pytest.raises(FormatError):
@@ -313,6 +314,7 @@ def test_witness_parse_error_cases():
         "s MAYBE\nv 1 0\n",  # unknown status line
         "s CUT-FOUND\nv 1 4 0\n",  # vertex out of range
         "s CUT-FOUND\nv -1 0\n",  # negative vertex
+        b"s CUT-FOUND\nv \xff 0\n",  # bytes that are not UTF-8
         "",
     ):
         with pytest.raises(FormatError):

@@ -30,7 +30,7 @@ def test_split_two_occurrences():
     f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
-    assert [cl.signed() for cl in out.clauses] == [(1, 2, 3), (6, 4, 5), (1, -6)]
+    assert [cl.literals for cl in out.clauses] == [(1, 2, 3), (6, 4, 5), (1, -6)]
     assert tm.copies_of(1) == (1, 6)
     assert all(tm.copies_of(x) == (x,) for x in (2, 3, 4, 5))
 
@@ -39,15 +39,12 @@ def test_split_two_repeated_variables():
     f = CnfFormula.from_ints(4, [[1, 2, 3], [1, 2, 4]])
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
-    assert [cl.signed() for cl in out.clauses] == [
+    assert [cl.literals for cl in out.clauses] == [
         (1, 2, 3),
         (5, 6, 4),
         (1, -5),
         (2, -6),
     ]
-    prime = [o for o in tm.origins if o.kind == "prime"]
-    equality = [o for o in tm.origins if o.kind == "equality"]
-    assert len(prime) == 2 and len(equality) == 2
     assert tm.equality_clause_count() == 2
 
 
