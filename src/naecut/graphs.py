@@ -189,26 +189,27 @@ def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Co
     n = g.num_vertices
     colours: dict[int, int] = {}
     nodes = 0
-
-    def extend(v: int) -> bool:
-        nonlocal nodes
-        if v > n:
-            return True
+    # Vertices 1..v-1 are coloured; c is the next colour to try at v.  A
+    # dead end pops v-1's colour and resumes after it, so no recursion.
+    v, c = 1, 1
+    while v <= n:
         limit = 1 if v == 1 else k
-        for c in range(1, limit + 1):
+        while c <= limit:
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceeded(f"colouring search exceeded {max_nodes} nodes")
             if all(colours.get(u) != c for u in g.adj[v]):
-                colours[v] = c
-                if extend(v + 1):
-                    return True
-                del colours[v]
-        return False
-
-    if extend(1):
-        return Colouring(dict(colours), k)
-    return None
+                break
+            c += 1
+        if c <= limit:
+            colours[v] = c
+            v, c = v + 1, 1
+        elif v == 1:
+            return None
+        else:
+            v -= 1
+            c = colours.pop(v) + 1
+    return Colouring(colours, k)
 
 
 def verify_colouring(g: Graph, c: Colouring) -> bool:

@@ -5,8 +5,12 @@ Both brute-force oracles run the same exhaustive backtracking engine over
 as side bits).  The engine branches on variables in index order trying
 False before True, so the first model found is the lexicographically
 smallest one; pruning never skips a model, it only discards candidates
-that provably cannot be completed.  A budget error is always distinct
-from "no solution exists".
+that provably cannot be completed.  Before searching it adds implied
+equalities: two apexes over the same positive 3-group, as in a gadget's
+two tetrahedra glued along a face, must take the same value.  The search
+keeps its decisions on an explicit stack, so its depth is bounded by the
+budget, not by the interpreter's recursion limit.  A budget error is
+always distinct from "no solution exists".
 """
 
 from __future__ import annotations
@@ -40,6 +44,26 @@ def exhaustive_budget(num_binary_choices: int) -> SearchBudget:
     return SearchBudget(max_states=2 ** max(num_binary_choices + 1, 24))
 
 
+def _apex_equalities(num_vars: int, groups) -> list[tuple[int, int]]:
+    """2-groups (x, -y) equating consecutive apexes x < y of each positive 3-group."""
+    faces = {tuple(sorted(g)) for g in groups if len(g) == 3 and min(g) > 0}
+    by_var: list[list[tuple[int, ...]]] = [[] for _ in range(num_vars + 1)]
+    for face in faces:
+        for v in face:
+            by_var[v].append(face)
+    equalities = set()
+    for a, b, c in faces:
+        apexes = []
+        for other in by_var[a]:
+            if b in other and c not in other:
+                x = sum(other) - a - b
+                if tuple(sorted((x, a, c))) in faces and tuple(sorted((x, b, c))) in faces:
+                    apexes.append(x)
+        apexes.sort()
+        equalities.update((x, -y) for x, y in zip(apexes, apexes[1:]))
+    return sorted(equalities)
+
+
 class _NaeEngine:
     """Backtracking search for systems of not-all-equal constraints.
 
@@ -56,11 +80,22 @@ class _NaeEngine:
     branch is abandoned.  Probing is what lets the search discover, at the
     moment the second endpoint of a gadget is placed, that separated
     endpoints doom the whole subtree, without knowing what a gadget is.
+
+    Equivalence reasoning spares most of that probing.  Call x an apex of
+    the positive 3-group {a,b,c} when {x,a,b}, {x,a,c} and {x,b,c} are
+    positive 3-groups too.  Those three groups force x to the minority value
+    of a, b, c, so all apexes of one face are equal, and `__init__` adds the
+    2-group (x, -y) for each pair of consecutive apexes x < y.  The added
+    groups hold in every model, so the search finds the same first model.
+
+    The search is a loop over a stack of (variable, trail mark, value
+    tried) frames, one per decision, rather than a recursion per variable.
     """
 
     def __init__(self, num_vars: int, groups):
         self.n = num_vars
         self.groups = [tuple(g) for g in groups]
+        self.groups.extend(_apex_equalities(num_vars, self.groups))
         self.sizes = [len(g) for g in self.groups]
         self.true_count = [0] * len(self.groups)
         self.false_count = [0] * len(self.groups)
@@ -72,6 +107,7 @@ class _NaeEngine:
         self.trail: list[int] = []
         self.nodes = 0
         self.max_nodes = 0
+        self.max_depth = 0
         self.require_some_true = False
 
     def _set(self, var: int, val: bool) -> tuple[bool, list[int]]:
@@ -179,28 +215,46 @@ class _NaeEngine:
         mark = self._mark()
         if not (self._assign(1, False) and self._probe_around(mark)):
             return None
-        if self._dfs(1):
+        if self._dfs():
             return list(self.value)
         return None
 
-    def _dfs(self, var: int) -> bool:
+    def _dfs(self) -> bool:
+        """Branch on free variables in index order, False first; True at a model."""
         value = self.value
-        while var <= self.n and value[var] is not None:
-            var += 1
-        if var > self.n:
-            if self.require_some_true and True not in value:
-                return False
-            return True
-        for val in (False, True):
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise BudgetExceeded(f"search exceeded {self.max_nodes} states")
-            mark = self._mark()
-            if self._assign(var, val) and self._probe_around(mark):
-                if self._dfs(var + 1):
+        n = self.n
+        stack: list[tuple[int, int, bool]] = []
+        var, val = 1, False
+        while True:
+            while var <= n and value[var] is not None:
+                var += 1
+            if var > n:
+                if not self.require_some_true or True in value:
                     return True
-            self._undo(mark)
-        return False
+                ok = False
+            else:
+                self.nodes += 1
+                if self.nodes > self.max_nodes:
+                    raise BudgetExceeded(
+                        f"search exceeded {self.max_nodes} states; "
+                        f"deepest decision level {self.max_depth}"
+                    )
+                mark = self._mark()
+                stack.append((var, mark, val))
+                if len(stack) > self.max_depth:
+                    self.max_depth = len(stack)
+                ok = self._assign(var, val) and self._probe_around(mark)
+            if ok:
+                val = False
+                continue
+            while stack:
+                var, mark, val = stack.pop()
+                self._undo(mark)
+                if not val:
+                    val = True
+                    break
+            else:
+                return False
 
 
 def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assignment | None:

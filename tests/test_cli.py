@@ -162,16 +162,40 @@ def test_color_budget(tmp_path, capsys):
     assert run(capsys, "color", str(k8), "-k", "7", "--budget", "0")[0] == 2
 
 
-def test_internal_error_exits_4_not_no(tmp_path, capsys):
-    # The colouring search recurses once per vertex, so a long path overflows
-    # the interpreter stack; the crash must not be reported as "no colouring".
-    path = tmp_path / "path3000.graph"
-    path.write_text("p edge 3000 2999\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 3000)))
-    code = main(["color", str(path), "-k", "2"])
+def _path_graph(tmp_path, n):
+    path = tmp_path / f"path{n}.graph"
+    path.write_text(f"p edge {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, n)))
+    return path
+
+
+def test_internal_error_exits_4_not_no(tmp_path, capsys, monkeypatch):
+    # A crash is not an answer: it must not be reported as "no colouring".
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("naecut.cli.find_k_colouring", crash)
+    code = main(["color", str(_path_graph(tmp_path, 3)), "-k", "2"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
-    assert captured.err.startswith("error: internal error: RecursionError: ")
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+# Deep inputs: both searches keep their state on an explicit stack, so a
+# 3000-vertex path gets its answer instead of a RecursionError.
+
+def test_color_long_path(tmp_path, capsys):
+    code, out = run(capsys, "color", str(_path_graph(tmp_path, 3000)), "-k", "2")
+    assert code == 0
+    assert out == "s COLOURING-FOUND\nk 2\n" + "".join(f"{v} {2 - v % 2}\n" for v in range(1, 3001))
+
+
+def test_solve_cut_long_path(tmp_path, capsys, monkeypatch):
+    # No triangles, so the smallest cut puts only the last vertex on side A.
+    monkeypatch.setenv("NAE_REDUCE_BUDGET", str(2**3000))
+    code, out = run(capsys, "solve-cut", str(_path_graph(tmp_path, 3000)))
+    assert code == 0
+    assert out == "s CUT-FOUND\nv 3000 0\n"
 
 
 def test_triangles_command(tmp_path, capsys):

@@ -155,12 +155,148 @@ def test_cut_budget_precheck():
 
 
 def test_search_node_cap_is_a_loud_failure():
-    # The engine counts branch nodes against the budget while searching.
+    # The engine counts branch nodes against the budget while searching, and
+    # the error says how deep the search got: five False decisions on
+    # variables 2..6, then the sixth node is over the cap.
     from naecut.solvers import _NaeEngine
 
     engine = _NaeEngine(10, [])
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(
+        BudgetExceeded, match=r"^search exceeded 5 states; deepest decision level 5$"
+    ):
         engine.solve(require_some_true=True, max_nodes=5)
+
+
+# Deep inputs: the search keeps its decisions on an explicit stack, so a
+# witness thousands of decisions deep is found, not lost to RecursionError.
+
+def test_nae_deep_formula_has_witness():
+    witness = brute_force_nae(CnfFormula.from_ints(3000, [[1, 2, 3]]), exhaustive_budget(3000))
+    assert witness == {x: x == 3 for x in range(1, 3001)}
+
+
+def test_cut_on_large_reduction_graph():
+    from naecut import build_graph
+
+    split, _ = split_repeated_variables(generate_instance(0, 256, 384))
+    g, _ = build_graph(split)
+    assert g.num_vertices == 3856
+    cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
+    assert cut is not None
+    assert verify_cut_triangle_free(g, cut)
+
+
+# Gadget-dense graphs: glued tetrahedra are where the engine adds apex
+# equalities, so its answers must still match plain enumeration there.
+
+def _tetrahedra(n, face, apexes, extra=()):
+    edges = set(extra)
+    edges.update(itertools.combinations(face, 2))
+    edges.update((x, v) for x in apexes for v in face)
+    return Graph(n, edges)
+
+
+def _random_glued_tetrahedra(seed):
+    # Start from a triangle; each step puts an apex, new or existing, on a
+    # random triangle of the graph so far, and sometimes adds a stray edge.
+    rng = random.Random(seed)
+    n = rng.randint(5, 12)
+    edges = {(1, 2), (1, 3), (2, 3)}
+    used = 3
+    for _ in range(rng.randint(2, 7)):
+        face = rng.choice(_triangles_of(n, edges))
+        if used < n and rng.random() < 0.7:
+            used += 1
+            x = used
+        else:
+            choices = [v for v in range(1, used + 1) if v not in face]
+            if not choices:
+                continue
+            x = rng.choice(choices)
+        edges.update((min(x, v), max(x, v)) for v in face)
+        if rng.random() < 0.2:
+            u, v = rng.sample(range(1, used + 1), 2)
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+def _triangles_of(n, edges):
+    return [
+        t
+        for t in itertools.combinations(range(1, n + 1), 3)
+        if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= edges
+    ]
+
+
+def _gadget_dense_graphs():
+    from naecut import Gadget
+
+    k5 = list(itertools.combinations(range(1, 6), 2))
+    k6 = list(itertools.combinations(range(1, 7), 2))
+    chain2 = Gadget(1, 2, 4, 5, 6).edge_list() + Gadget(2, 3, 7, 8, 9).edge_list()
+    chain3 = chain2 + Gadget(3, 10, 11, 12, 4).edge_list()
+    graphs = [_tetrahedra(3 + k, (1, 2, 3), range(4, 4 + k)) for k in (2, 3, 4)]
+    graphs += [
+        # two faces sharing the apex 4, each with a second apex
+        _tetrahedra(9, (1, 2, 3), (4, 8), extra=_tetrahedra(9, (5, 6, 7), (4, 9)).edges),
+        # the shared apex lies on the other face
+        _tetrahedra(8, (1, 2, 3), (4, 5), extra=_tetrahedra(8, (4, 6, 7), (8,)).edges),
+        Graph(9, chain2),
+        Graph(9, chain2 + [(1, 3), (1, 7), (3, 7)]),
+        Graph(12, chain3),
+        Graph(12, chain3 + [(1, 10), (1, 11), (10, 11)]),
+        Graph(6, k5 + [(1, 6), (2, 6), (3, 6)]),
+        Graph(8, k5 + [(4, 6), (5, 6), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8), (4, 8)]),
+        Graph(9, k6 + [(x, v) for x in (7, 8, 9) for v in (4, 5, 6)]),
+        complete_graph(5).without_edge(1, 2),
+        _tetrahedra(7, (1, 2, 3), (4, 5), extra=[(4, 6), (5, 6), (4, 7), (5, 7), (6, 7)]),
+    ]
+    graphs += [_random_glued_tetrahedra(seed) for seed in range(80)]
+    return graphs
+
+
+def test_gadget_dense_graphs_agree_with_enumeration_oracles():
+    from naecut import extract_nae
+
+    graphs = _gadget_dense_graphs()
+    found = 0
+    for g in graphs:
+        assert brute_force_cut(g) == naive_cut_smallest(g)
+        f, _ = extract_nae(g)
+        witness = brute_force_nae(f)
+        assert witness == naive_nae_smallest(f)
+        found += witness is not None
+    assert 0 < found < len(graphs)
+
+
+def test_apex_equalities_need_four_positive_groups():
+    # {4,1,2}, {4,1,3}, {4,2,3} and the same for 5 make 4 and 5 apexes of
+    # {1,2,3}; the engine equates them only when all of those groups and the
+    # face are positive groups.
+    from naecut.solvers import _NaeEngine
+
+    apex_groups = [[x, a, b] for x in (4, 5) for a, b in ((1, 2), (1, 3), (2, 3))]
+    positive = _NaeEngine(5, [[1, 2, 3]] + apex_groups)
+    assert positive.groups[-1] == (4, -5)
+    assert len(positive.groups) == 8
+    for face in ([1, 2, -3], [-1, 2, 3], [1, -2, -3]):
+        assert len(_NaeEngine(5, [face] + apex_groups).groups) == 7
+        f = CnfFormula.from_ints(5, [face] + apex_groups)
+        assert brute_force_nae(f) == naive_nae_smallest(f)
+    # Without {5,2,3}, 1=F, 2=3=T leaves 5 free, so 4 != 5 is satisfiable.
+    partial = [[1, 2, 3]] + apex_groups[:5] + [[4, 5]]
+    assert len(_NaeEngine(5, partial).groups) == 7
+    f = CnfFormula.from_ints(5, partial)
+    assert brute_force_nae(f) == naive_nae_smallest(f) == {1: False, 2: True, 3: True, 4: False, 5: True}
+    for seed in range(200):
+        rng = random.Random(seed)
+        clauses = [
+            [v if rng.random() < 0.8 else -v for v in cl]
+            for cl in [[1, 2, 3]] + apex_groups + [[5, 6, 7], [1, 6, 7], [4, 5]]
+            if rng.random() < 0.85
+        ]
+        f = CnfFormula.from_ints(7, clauses)
+        assert brute_force_nae(f) == naive_nae_smallest(f)
 
 
 def test_extraction_cut_oracle_agreement():
