@@ -97,7 +97,7 @@ def cmd_reduce(args) -> int:
     g, rm = build_graph(prepared)
     colouring = construct_5_colouring(g, rm)
     print(f"vertices {g.num_vertices}")
-    print(f"edges {len(g.edges)}")
+    print(f"edges {g.num_edges}")
     print(f"triangles {len(enumerate_triangles(g))}")
     print(f"max degree {max_degree(g)}")
     print(f"colours {colouring.k}")

@@ -155,13 +155,10 @@ def incidence_graph(f: CnfFormula, variant: str) -> Graph:
     if not is_monotone_3sat(f):
         raise ValueError("incidence graph requires monotone 3-SAT input")
     n = f.num_vars
-    edges: set[tuple[int, int]] = set()
-    for clause in f.clauses:
-        for u, v in itertools.combinations(clause.variables(), 2):
-            edges.add((u, v) if u < v else (v, u))
+    # The constructor dedupes, so shared pairs are simply listed again.
+    edges = [e for clause in f.clauses for e in itertools.combinations(clause.variables(), 2)]
     if variant == "A":
         return Graph(n, edges)
     for j, clause in enumerate(f.clauses, start=1):
-        for x in clause.variables():
-            edges.add((x, n + j))
+        edges.extend((x, n + j) for x in clause.variables())
     return Graph(n + len(f.clauses), edges)

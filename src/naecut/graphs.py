@@ -1,4 +1,7 @@
-"""Simple undirected graphs: triangles, degrees, exact colouring, cut checks."""
+"""Simple undirected graphs: triangles, degrees, exact colouring, cut checks.
+
+A graph is held as sorted adjacency tuples, which every reader walks directly.
+"""
 
 from __future__ import annotations
 
@@ -10,60 +13,61 @@ from .textio import ints, read_header, records
 
 
 class Graph:
-    """Undirected simple graph on vertices 1..num_vertices.
+    """Undirected simple graph on vertices 1..num_vertices, immutable.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v, plus
-    per-vertex adjacency sets.  Instances are immutable after construction.
+    `adj` is a list: `adj[v]` is the sorted tuple of v's neighbours and `adj[0]`
+    is empty, so `adj.values()` and set operators such as `&` do not apply.  It
+    is the only stored edge data; the frozenset `edges` is rebuilt from it.
     """
 
-    __slots__ = ("num_vertices", "edges", "adj")
+    __slots__ = ("num_vertices", "adj")
 
     def __init__(self, num_vertices: int, edges=()):
         if num_vertices < 0:
             raise ValueError("vertex count must be non-negative")
-        normal = set()
+        adj = [[] for _ in range(num_vertices + 1)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{num_vertices}")
-            normal.add((u, v) if u < v else (v, u))
+            adj[u].append(v)
+            adj[v].append(u)
         self.num_vertices = num_vertices
-        self.edges = frozenset(normal)
-        adj = {v: set() for v in range(1, num_vertices + 1)}
-        for u, v in normal:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = {v: frozenset(s) for v, s in adj.items()}
+        self.adj = [tuple(sorted(set(row))) for row in adj]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
+
+    @property
+    def num_edges(self) -> int:
+        return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return 1 <= u <= self.num_vertices and v in self.adj[u]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, row in enumerate(self.adj) for v in row if v > u]
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.num_vertices, list(self.edges) + [(u, v)])
+        return Graph(self.num_vertices, self.sorted_edges() + [(u, v)])
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        e = (u, v) if u < v else (v, u)
-        return Graph(self.num_vertices, self.edges - {e})
+        drop = ((u, v), (v, u))
+        return Graph(self.num_vertices, [e for e in self.sorted_edges() if e not in drop])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.num_vertices == other.num_vertices
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.num_vertices, self.edges))
+        return hash(tuple(self.adj))
 
     def __repr__(self):
-        return f"Graph({self.num_vertices} vertices, {len(self.edges)} edges)"
+        return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,16 @@ def parse_graph(text: str | bytes) -> Graph:
         g = Graph(header[0], edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    if len(g.edges) != len(edges):
-        raise FormatError(f"duplicate edge: {len(edges)} edge lines name {len(g.edges)} edges")
+    if g.num_edges != len(edges):
+        raise FormatError(f"duplicate edge: {len(edges)} edge lines name {g.num_edges} edges")
     if len(edges) != header[1]:
         raise FormatError(f"header promises {header[1]} edges, found {len(edges)}")
     return g
 
 
 def emit_graph(g: Graph) -> str:
-    lines = [f"p edge {g.num_vertices} {len(g.edges)}"]
-    lines.extend(f"e {u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
+    body = "".join(f"e {u} {v}\n" for u, v in g.sorted_edges())
+    return f"p edge {g.num_vertices} {g.num_edges}\n{body}"
 
 
 def parse_colouring(text: str | bytes) -> Colouring:
@@ -156,23 +159,24 @@ def emit_colouring(c: Colouring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-cliques of g as sorted triples (u < v < w), in lexicographic order.
+def _triangles(g: Graph):
+    """Each triangle (u, v, w) in lexicographic order: u < v < w, w in adj[v] and adj[u]."""
+    for u, row in enumerate(g.adj):
+        higher = [v for v in row if v > u]
+        common = set(higher)
+        for v in higher:
+            for w in g.adj[v]:
+                if w > v and w in common:
+                    yield (u, v, w)
 
-    Iterates edges and intersects the endpoints' neighbour sets, keeping only
-    w > v so each triangle is reported exactly once.
-    """
-    out = []
-    for u, v in g.sorted_edges():
-        for w in sorted(g.adj[u] & g.adj[v]):
-            if w > v:
-                out.append((u, v, w))
-    out.sort()
-    return out
+
+def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """All 3-cliques of g as sorted triples (u < v < w), in lexicographic order."""
+    return list(_triangles(g))
 
 
 def max_degree(g: Graph) -> int:
-    return max((len(s) for s in g.adj.values()), default=0)
+    return max(map(len, g.adj))
 
 
 def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Colouring | None:
@@ -214,17 +218,16 @@ def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Co
 
 def verify_colouring(g: Graph, c: Colouring) -> bool:
     """True iff c is a total proper colouring of g with colours in 1..k."""
-    for v in range(1, g.num_vertices + 1):
-        col = c.colours.get(v)
-        if col is None or not (1 <= col <= c.k):
-            return False
-    return all(c.colours[u] != c.colours[v] for u, v in g.edges)
+    colours = c.colours
+    if not all(1 <= colours.get(v, 0) <= c.k for v in range(1, g.num_vertices + 1)):
+        return False
+    return all(colours[u] != colours[v] for u, row in enumerate(g.adj) for v in row if v > u)
 
 
 def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | None:
-    """First triangle of g lying wholly inside one side of the cut, if any."""
+    """Lexicographically first triangle inside one side of the cut; stops at the first hit."""
     side_a = cut.side_a
-    for u, v, w in enumerate_triangles(g):
+    for u, v, w in _triangles(g):
         if (u in side_a) == (v in side_a) == (w in side_a):
             return (u, v, w)
     return None
@@ -232,10 +235,7 @@ def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | No
 
 def verify_cut_triangle_free(g: Graph, cut: Cut) -> bool:
     """True iff cut is a partition of V into two non-empty, triangle-free sides."""
-    if not cut.side_a or not cut.side_b:
-        return False
-    if cut.side_a & cut.side_b:
-        return False
-    if cut.side_a | cut.side_b != frozenset(range(1, g.num_vertices + 1)):
+    a, b = cut.side_a, cut.side_b
+    if not a or not b or a & b or a | b != frozenset(range(1, g.num_vertices + 1)):
         return False
     return find_monochromatic_triangle(g, cut) is None

@@ -274,7 +274,7 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
                 colours = dict(zip(others, combo))
                 colours[x] = cx
                 colours[y] = cy
-                if all(colours[u] != colours[v] for u, v in g.edges):
+                if verify_colouring(g, Colouring(colours, 5)):
                     found = True
                     break
             if not found:

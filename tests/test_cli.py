@@ -1,4 +1,23 @@
-from naecut import complete_graph, emit_graph
+import random
+import re
+
+from naecut import (
+    CnfFormula,
+    assignment_to_cut,
+    build_graph,
+    complete_graph,
+    construct_5_colouring,
+    emit_cnf,
+    emit_colouring,
+    emit_cut_witness,
+    emit_graph,
+    emit_nae_witness,
+    emit_reduction_map,
+    emit_transform_map,
+    generate_instance,
+    lift_assignment,
+    split_repeated_variables,
+)
 from naecut.cli import main
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
@@ -66,10 +85,6 @@ def test_reduce_writes_graph_and_map(tmp_path, capsys):
 
 
 def test_reduce_bounds_over_random_instances(tmp_path, capsys):
-    import re
-
-    from naecut import emit_cnf, generate_instance
-
     for seed in (3, 5, 11):
         src = tmp_path / f"in{seed}.cnf"
         src.write_text(emit_cnf(generate_instance(seed, 9, 11)))
@@ -327,3 +342,142 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# Bounded mutation fuzzer: seeded edits of valid inputs, over all ten command
+# shapes, must end in a verdict or a clean error (exit 0-3), never a crash.
+
+def _planted_inputs(n, m):
+    """Valid files for every command, from a formula a planted assignment NAE-satisfies."""
+    rng = random.Random(f"planted {n} {m}")
+    planted = {x: bool(rng.getrandbits(1)) for x in range(1, n + 1)}
+    kept = [c for c in generate_instance(0, n, m).clauses if len({planted[x] for x in c.variables()}) == 2]
+    f = CnfFormula(n, tuple(kept))
+    split, tm = split_repeated_variables(f)
+    g, rm = build_graph(split)
+    lifted = lift_assignment(tm, planted)
+    texts = {
+        "cnf": emit_cnf(f),
+        "split": emit_cnf(split),
+        "tmap": emit_transform_map(tm),
+        "graph": emit_graph(g),
+        "rmap": emit_reduction_map(rm),
+        "wit_split": emit_nae_witness(lifted),
+        "cut": emit_cut_witness(assignment_to_cut(split, rm, lifted)),
+        "col": emit_colouring(construct_5_colouring(g, rm)),
+    }
+    return {name: text.encode() for name, text in texts.items()}
+
+
+def _path_inputs(n):
+    return {
+        "graph": (f"p edge {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, n))).encode(),
+        "cut": f"s CUT-FOUND\nv {n} 0\n".encode(),
+        "col": ("k 2\n" + "".join(f"{v} {2 - v % 2}\n" for v in range(1, n + 1))).encode(),
+    }
+
+
+# Shape -> (files a corpus needs for it, function from the file paths p to argv).
+_SHAPES = {
+    "transform": (("cnf",), lambda p, rng: ["transform", p["cnf"], "-o", p["out"], "--map", p["out2"]]),
+    "reduce": (("cnf",), lambda p, rng: ["reduce", p["cnf"], "-o", p["out"], "--map", p["out2"]]),
+    "solve-nae": (("cnf",), lambda p, rng: ["solve-nae", p["cnf"]]),
+    "solve-cut": (("graph",), lambda p, rng: ["solve-cut", p["graph"], "-o", p["out"]]),
+    "color": (
+        ("graph",),
+        lambda p, rng: ["color", p["graph"], "-k", rng.choice("235"), "--budget", "5000"],
+    ),
+    "triangles": (("graph",), lambda p, rng: ["triangles", p["graph"]]),
+    "verify assignment": (
+        ("split", "wit_split", "tmap"),
+        lambda p, rng: ["verify", "assignment", p["split"], p["wit_split"], "--map", p["tmap"]],
+    ),
+    "verify cut": (
+        ("graph", "cut"),
+        lambda p, rng: ["verify", "cut", p["graph"], p["cut"]]
+        + (["--map", p["rmap"], "--assignment", p["wit_split"]] if "rmap" in p else []),
+    ),
+    "verify coloring": (("graph", "col"), lambda p, rng: ["verify", "coloring", p["graph"], p["col"]]),
+}
+
+_EDIT_BYTES = b"0123456789 -\n\rcpekvs\xff"
+# Small values only: a huge header count makes the parsers allocate storage
+# for that many vertices or variables before they read another line.
+_EDIT_TOKENS = (b"0", b"-1", b"1", b"2", b"3", b"x", b"")
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One to three byte, line or token edits."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:  # insert or overwrite one byte
+            i = rng.randrange(len(data) + 1)
+            data = data[:i] + bytes([rng.choice(_EDIT_BYTES)]) + data[i + rng.randrange(2):]
+        elif kind == 1:  # drop, repeat or swap lines
+            lines = data.split(b"\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            op = rng.randrange(3)
+            if op == 0:
+                del lines[i]
+            elif op == 1:
+                lines.insert(i, lines[j])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+        else:  # replace an integer token by a boundary value or its neighbour
+            tokens = list(re.finditer(rb"-?\d+", data))
+            if tokens:
+                t = rng.choice(tokens)
+                value = int(t.group())
+                new = rng.choice(_EDIT_TOKENS + (str(value + 1).encode(), str(value - 1).encode()))
+                data = data[: t.start()] + new + data[t.end():]
+    return data
+
+
+def _roundtrip_argv(rng):
+    args = {"--seed": str(rng.randrange(100)), "-n": "6", "-m": "5", "--trials": "2"}
+    key = rng.choice(list(args))
+    args[key] = rng.choice(("-1", "0", "1", "2", "3", "4", "x", ""))
+    argv = ["roundtrip"] + [tok for pair in args.items() for tok in pair]
+    return argv + (["--break-gadget"] if rng.random() < 0.3 else [])
+
+
+def test_cli_survives_mutated_inputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NAE_REDUCE_BUDGET", str(2**30))
+    corpora = {
+        "small": _planted_inputs(5, 6),
+        "n256": _planted_inputs(256, 384),
+        "path3000": _path_inputs(3000),
+    }
+    cases = [
+        (shape, corpus)
+        for shape, (needs, _) in _SHAPES.items()
+        for corpus, files in corpora.items()
+        if all(name in files for name in needs)
+    ]
+    rng = random.Random(20261018)
+    codes = set()
+    for trial in range(150):
+        if trial % 10 == 9:
+            shape, corpus, argv = "roundtrip", "-", _roundtrip_argv(rng)
+        else:
+            shape, corpus = rng.choice(cases)
+            files = corpora[corpus]
+            _, build = _SHAPES[shape]
+            paths = {"out": str(tmp_path / "out"), "out2": str(tmp_path / "out2")}
+            for name, data in files.items():
+                paths[name] = str(tmp_path / name)
+                (tmp_path / name).write_bytes(data)
+            argv = build(paths, rng)
+            target = rng.choice([name for name in files if paths[name] in argv])
+            (tmp_path / target).write_bytes(_mutate(files[target], rng))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a mutated option value
+            code = exc.code
+        err = capsys.readouterr().err
+        where = f"trial {trial}: {shape} on {corpus}, argv {argv}"
+        assert code in (0, 1, 2, 3), f"{where}: exit {code}, stderr {err[-300:]!r}"
+        assert "Traceback" not in err and "internal error" not in err, f"{where}: {err[-300:]!r}"
+        codes.add(code)
+    assert codes >= {0, 1, 2, 3}

@@ -142,7 +142,7 @@ def test_incidence_variant_b_is_k4():
     g = incidence_graph(f, "B")
     assert g.num_vertices == 4
     assert len(g.edges) == 6
-    assert g.adj[4] == {1, 2, 3}
+    assert g.adj[4] == (1, 2, 3)
 
 
 def test_incidence_two_triangles_sharing_a_vertex():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,15 +11,19 @@ from naecut import (
     FormatError,
     Graph,
     SearchBudget,
+    build_graph,
     canonical_gadget,
     complete_graph,
     emit_colouring,
     emit_graph,
     enumerate_triangles,
     find_k_colouring,
+    find_monochromatic_triangle,
+    generate_instance,
     max_degree,
     parse_colouring,
     parse_graph,
+    split_repeated_variables,
     verify_colouring,
     verify_cut_triangle_free,
 )
@@ -38,11 +43,71 @@ def random_graph(seed, n, p=0.5):
     return Graph(n, edges)
 
 
+def random_cut(rng, n):
+    side_a = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
+    return Cut(side_a, frozenset(range(1, n + 1)) - side_a)
+
+
 def test_graph_constructor_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(1, 4)])
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1)
+    # The first bad edge in input order is the one reported.
+    with pytest.raises(ValueError, match=r"^edge \(1,4\) out of range 1\.\.3$"):
+        Graph(3, [(1, 2), (1, 4), (2, 2), (0, 1)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+        Graph(3, [(2, 1), (2, 2), (1, 4)])
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) out of range 1\.\.3$"):
+        Graph(3, [(1, 2), (2, 1), (0, 1), (3, 3)])
+
+
+def test_adjacency_is_the_one_representation():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3 * n))]
+        # Duplicates in both orientations.
+        edges = pairs + [(v, u) for u, v in pairs[::2]] + pairs[1::3]
+        normal = sorted({(min(e), max(e)) for e in edges})
+        g = Graph(n, edges)
+        assert len(g.adj) == n + 1 and g.adj[0] == ()
+        for v in range(1, n + 1):
+            row = g.adj[v]
+            assert type(row) is tuple and list(row) == sorted(set(row))
+            assert all(v in g.adj[w] for w in row)
+            assert g.degree(v) == len(row)
+        assert g.sorted_edges() == normal
+        assert g.edges == frozenset(normal)
+        assert len(g.edges) == g.num_edges == len(normal)
+        for u, v in itertools.product(range(0, n + 2), repeat=2):
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in g.edges)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(shuffled)
+        h = Graph(n, shuffled)
+        assert h == g and hash(h) == hash(g)
+        assert Graph(n + 1, edges) != g
+        if normal:
+            u, v = rng.choice(normal)
+            assert g.without_edge(v, u).sorted_edges() == [e for e in normal if e != (u, v)]
+            assert g.without_edge(u, v).with_edge(v, u) == g
+
+
+def test_graph_holds_each_edge_once_per_endpoint():
+    split, _ = split_repeated_variables(generate_instance(0, 256, 384))
+    g, _ = build_graph(split)
+    edges = g.sorted_edges()
+    tracemalloc.start()
+    try:
+        h = Graph(g.num_vertices, edges)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h == g
+    # Two tuple slots per edge plus a row header per vertex come to about 36 bytes per edge.
+    assert held / len(edges) < 100, f"{held / len(edges):.1f} bytes held per edge"
 
 
 def test_parse_k3():
@@ -112,6 +177,26 @@ def test_triangle_enumeration_matches_naive_oracle():
     for seed in range(60):
         g = random_graph(seed, 3 + seed % 10)
         assert enumerate_triangles(g) == naive_triangles(g)
+    # Dense graphs, and the same graphs with isolated vertices before and after.
+    for seed in range(20):
+        n = 4 + seed % 10
+        dense = random_graph(seed, n, p=0.9)
+        padded = Graph(n + 6, [(u + 3, v + 3) for u, v in dense.sorted_edges()])
+        for g in (dense, padded, complete_graph(n), Graph(n)):
+            assert enumerate_triangles(g) == naive_triangles(g)
+
+
+def test_monochromatic_triangle_matches_naive_scan():
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = 3 + seed % 11
+        g = random_graph(seed, n, p=rng.choice((0.3, 0.6, 0.9)))
+        cut = random_cut(rng, n)
+        expected = next(
+            (t for t in naive_triangles(g) if len({v in cut.side_a for v in t}) == 1), None
+        )
+        assert find_monochromatic_triangle(g, cut) == expected
+        assert find_monochromatic_triangle(g, cut.swapped()) == expected
 
 
 def test_max_degree():
@@ -185,9 +270,7 @@ def test_cut_verification_gadget_endpoint_side():
 def test_cut_verification_is_side_symmetric():
     for seed in range(40):
         g = random_graph(seed, 6)
-        rng = random.Random(seed + 1000)
-        side_a = frozenset(v for v in range(1, 7) if rng.random() < 0.5)
-        cut = Cut(side_a, frozenset(range(1, 7)) - side_a)
+        cut = random_cut(random.Random(seed + 1000), 6)
         assert verify_cut_triangle_free(g, cut) == verify_cut_triangle_free(
             g, cut.swapped()
         )
