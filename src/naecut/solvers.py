@@ -1,20 +1,23 @@
 """Exact oracles: NAE satisfiability, triangle-free cuts, and fast paths.
 
-Both brute-force oracles run the same exhaustive backtracking engine over
-"not-all-equal groups" (a clause's literals, or a triangle's vertices read
-as side bits).  The engine branches on variables in index order trying
-False before True, so the first model found is the lexicographically
-smallest one; pruning never skips a model, it only discards candidates
-that provably cannot be completed.  Before searching it adds implied
-equalities: two apexes over the same positive 3-group, as in a gadget's
-two tetrahedra glued along a face, must take the same value.  The search
-keeps its decisions on an explicit stack, so its depth is bounded by the
-budget, not by the interpreter's recursion limit.  A budget error is
-always distinct from "no solution exists".
+Both brute-force oracles run one conflict-driven engine over "not-all-equal
+groups" (a clause's literals, or a triangle's vertices read as side bits).
+Each group is stored once and watched by two of its variables.  A conflict
+teaches the engine a clause and sends it back to the level where that
+clause is unit; decisions follow variable activity.  The smallest witness
+is then fixed variable by variable in index order: a variable is False
+when some model extends the values fixed so far with it False, which the
+last model or one solve under that assumption shows, and True otherwise.
+Before searching the engine adds implied equalities: two apexes over the
+same positive 3-group, as in a gadget's two tetrahedra glued along a face,
+must take the same value.  All search state lives in explicit lists, so
+depth is bounded by the budget, not by the interpreter's recursion limit.
+A budget error is always distinct from "no solution exists".
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
@@ -65,196 +68,272 @@ def _apex_equalities(num_vars: int, groups) -> list[tuple[int, int]]:
 
 
 class _NaeEngine:
-    """Backtracking search for systems of not-all-equal constraints.
+    """Conflict-driven search for the smallest model of not-all-equal groups.
 
-    Each group is a tuple of signed variable indices; a negative entry means
-    the literal value is the variable's complement.  A group is violated
-    exactly when all its literal values are equal.  Per-group counters of
-    true/false literal values give O(1) conflict and unit detection; when a
-    group has one unassigned literal and all assigned ones agree, the last
-    literal is forced to the opposite value.
+    A group is a sequence of signed variable indices (a negative entry reads
+    the variable's complement), violated exactly when all its literal values
+    are equal.  Literal code 2v means v is True and 2v+1 that v is False; one
+    int object per code is shared by every group and clause, and `val` is
+    indexed by code.  A group stands for the clauses (l1 | l2 | l3) and
+    (-l1 | -l2 | -l3) but is stored once, as a list of codes whose first two
+    variables are watched.  Assigning either visits the group, which moves
+    that watch to the third variable while it is free, and otherwise forces
+    or reports a conflict.  So while a watched variable is assigned, the
+    third one is assigned too, at no higher level, and no backjump can leave
+    a unit or all-equal group unvisited.  The group is the reason of what it
+    forces, every other variable being an antecedent.  Learned clauses keep
+    two watched literals.
 
-    On top of unit propagation, each branch runs failed-literal probing on
-    the unassigned variables around fresh assignments: a value whose
-    propagation conflicts is excluded, and if both values conflict the
-    branch is abandoned.  Probing is what lets the search discover, at the
-    moment the second endpoint of a gadget is placed, that separated
-    endpoints doom the whole subtree, without knowing what a gadget is.
+    A conflict yields a first-UIP clause, minus literals whose reasons it
+    already covers, and a jump back to the level where it is unit.
+    Decisions take the most active free variable (VSIDS) and set it False.
+    `__init__` also adds apex equalities (see `_apex_equalities`).
 
-    Equivalence reasoning spares most of that probing.  Call x an apex of
-    the positive 3-group {a,b,c} when {x,a,b}, {x,a,c} and {x,b,c} are
-    positive 3-groups too.  Those three groups force x to the minority value
-    of a, b, c, so all apexes of one face are equal, and `__init__` adds the
-    2-group (x, -y) for each pair of consecutive apexes x < y.  The added
-    groups hold in every model, so the search finds the same first model.
-
-    The search is a loop over a stack of (variable, trail mark, value
-    tried) frames, one per decision, rather than a recursion per variable.
+    `solve` pins variable 1 False, as complement symmetry allows, finds a
+    first model, then fixes variables in index order, each as a level-0
+    unit since it holds in every later solve.  Variable i is fixed False
+    when the last model has it False, True when the fixed prefix implies
+    it, and otherwise by one solve that assumes i False at level 1: a model
+    found there replaces the last one, a refutation fixes i True.  Each step
+    keeps the smaller value exactly when some model extends the prefix with
+    it, so the last model is the lexicographically smallest.  Budget states
+    are decisions, counted across every solve of one `solve` call.
     """
 
     def __init__(self, num_vars: int, groups):
-        self.n = num_vars
-        self.groups = [tuple(g) for g in groups]
-        self.groups.extend(_apex_equalities(num_vars, self.groups))
-        self.sizes = [len(g) for g in self.groups]
-        self.true_count = [0] * len(self.groups)
-        self.false_count = [0] * len(self.groups)
-        self.occurs: list[list[tuple[int, bool]]] = [[] for _ in range(num_vars + 1)]
-        for gi, lits in enumerate(self.groups):
-            for lit in lits:
-                self.occurs[abs(lit)].append((gi, lit < 0))
-        self.value: list[bool | None] = [None] * (num_vars + 1)
+        groups = list(groups)
+        groups += _apex_equalities(num_vars, groups)
+        self.n = n = num_vars
+        self.code = code = list(range(2 * n + 2))
+        self.val: list[bool | None] = [None] * (2 * n + 2)
+        self.level = [0] * (n + 1)
+        self.reason: list[list[int] | None] = [None] * (n + 1)
+        self.gwatch: list[list[list[int]]] = [[] for _ in range(n + 1)]
+        self.cwatch: dict[int, list[list[int]]] = {}
+        for g in groups:
+            lits = list(map(code.__getitem__, (2 * x if x > 0 else 1 - 2 * x for x in g)))
+            self.gwatch[lits[0] >> 1].append(lits)
+            self.gwatch[lits[1] >> 1].append(lits)
         self.trail: list[int] = []
-        self.nodes = 0
-        self.max_nodes = 0
-        self.max_depth = 0
-        self.require_some_true = False
+        self.lim: list[int] = []
+        self.qhead = 0
+        self.activity = [0.0] * (n + 1)
+        self.inc = 1.0
+        self.heap = [(0.0, v) for v in range(1, n + 1)]
+        self.seen = bytearray(n + 1)
+        self.decisions = self.conflicts = self.learned = self.solves = self.max_depth = 0
+        self.max_states = 0
 
-    def _set(self, var: int, val: bool) -> tuple[bool, list[int]]:
-        """Assign var=val; returns (no conflict, groups that may force a unit)."""
-        self.value[var] = val
-        self.trail.append(var)
-        ok = True
-        units = []
-        for gi, neg in self.occurs[var]:
-            if (not val) if neg else val:
-                self.true_count[gi] += 1
-            else:
-                self.false_count[gi] += 1
-            t = self.true_count[gi]
-            f = self.false_count[gi]
-            size = self.sizes[gi]
-            if t == size or f == size:
-                ok = False
-            elif t + f == size - 1 and (t == 0 or f == 0):
-                units.append(gi)
-        return ok, units
+    def _assign(self, lit: int, why: list[int] | None) -> None:
+        self.val[lit], self.val[lit ^ 1] = True, False
+        self.level[lit >> 1] = len(self.lim)
+        self.reason[lit >> 1] = why
+        self.trail.append(lit)
 
-    def _mark(self) -> int:
-        return len(self.trail)
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            val = self.value[var]
-            self.value[var] = None
-            for gi, neg in self.occurs[var]:
-                if (not val) if neg else val:
-                    self.true_count[gi] -= 1
-                else:
-                    self.false_count[gi] -= 1
-
-    def _assign(self, var: int, val: bool) -> bool:
-        """Assign and unit-propagate to fixpoint; False on conflict."""
-        ok, queue = self._set(var, val)
-        if not ok:
-            return False
-        while queue:
-            next_queue = []
-            for gi in queue:
-                t = self.true_count[gi]
-                f = self.false_count[gi]
-                if t + f != self.sizes[gi] - 1 or (t != 0 and f != 0):
-                    continue
-                for lit in self.groups[gi]:
-                    u = abs(lit)
-                    if self.value[u] is None:
-                        forced_lv = t == 0
-                        forced_val = (not forced_lv) if lit < 0 else forced_lv
-                        ok, more = self._set(u, forced_val)
-                        if not ok:
-                            return False
-                        next_queue.extend(more)
-                        break
-            queue = next_queue
-        return True
-
-    def _probe(self, var: int) -> bool:
-        """Try both values of var; prune the branch if neither survives."""
-        mark = self._mark()
-        ok_false = self._assign(var, False)
-        self._undo(mark)
-        ok_true = self._assign(var, True)
-        self._undo(mark)
-        if not ok_false and not ok_true:
-            return False
-        if ok_false != ok_true:
-            return self._assign(var, ok_true)
-        return True
-
-    def _probe_around(self, mark: int) -> bool:
-        """Probe unassigned variables co-occurring with assignments past `mark`."""
-        probed: set[int] = set()
-        scanned = mark
-        while True:
-            frontier: set[int] = set()
-            for var in self.trail[scanned:]:
-                for gi, _neg in self.occurs[var]:
-                    if self.true_count[gi] and self.false_count[gi]:
+    def _propagate(self) -> list[int] | None:
+        """Propagate the unprocessed trail; the violated group or clause, or None."""
+        val, trail, level, reason = self.val, self.trail, self.level, self.reason
+        gwatch, cwatch = self.gwatch, self.cwatch
+        dl = len(self.lim)
+        q = self.qhead
+        while q < len(trail):
+            p = trail[q]
+            q += 1
+            v = p >> 1
+            ws, keep = gwatch[v], []
+            for k, g in enumerate(ws):
+                pos = 0 if g[0] >> 1 == v else 1
+                mine, other = g[pos], g[1 - pos]
+                t = val[mine]
+                if len(g) == 3:
+                    x = val[g[2]]
+                    if x is None:
+                        g[pos], g[2] = g[2], mine
+                        gwatch[g[pos] >> 1].append(g)
                         continue
-                    for lit in self.groups[gi]:
-                        u = abs(lit)
-                        if self.value[u] is None and u not in probed:
-                            frontier.add(u)
-            scanned = len(self.trail)
-            if not frontier:
-                return True
-            for u in sorted(frontier):
-                if self.value[u] is not None:
+                    keep.append(g)
+                    if x is not t:
+                        continue
+                else:
+                    keep.append(g)
+                y = val[other]
+                if y is None:
+                    u = other ^ 1 if t else other
+                    val[u], val[u ^ 1] = True, False
+                    level[u >> 1] = dl
+                    reason[u >> 1] = g
+                    trail.append(u)
+                elif y is t:
+                    gwatch[v] = keep + ws[k + 1 :]
+                    self.qhead = q
+                    return g
+            gwatch[v] = keep
+            f = p ^ 1
+            ws, keep = cwatch.get(f), []
+            for k, cl in enumerate(ws or ()):
+                if cl[0] == f:
+                    cl[0], cl[1] = cl[1], cl[0]
+                first = cl[0]
+                fv = val[first]
+                if fv is not True:
+                    for m in range(2, len(cl)):
+                        if val[cl[m]] is not False:
+                            cl[1], cl[m] = cl[m], cl[1]
+                            cwatch.setdefault(cl[1], []).append(cl)
+                            break
+                    else:
+                        if fv is False:
+                            cwatch[f] = keep + ws[k:]
+                            self.qhead = q
+                            return cl
+                        val[first], val[first ^ 1] = True, False
+                        level[first >> 1] = dl
+                        reason[first >> 1] = cl
+                        trail.append(first)
+                        keep.append(cl)
                     continue
-                probed.add(u)
-                if not self._probe(u):
-                    return False
-            if len(self.trail) == scanned:
-                return True
-
-    def solve(self, require_some_true: bool, max_nodes: int) -> list[bool | None] | None:
-        """First model with variable 1 False, or None; needs at least one variable."""
-        self.max_nodes = max_nodes
-        self.require_some_true = require_some_true
-        mark = self._mark()
-        if not (self._assign(1, False) and self._probe_around(mark)):
-            return None
-        if self._dfs():
-            return list(self.value)
+                keep.append(cl)
+            if ws:
+                cwatch[f] = keep
+        self.qhead = q
         return None
 
-    def _dfs(self) -> bool:
-        """Branch on free variables in index order, False first; True at a model."""
-        value = self.value
-        n = self.n
-        stack: list[tuple[int, int, bool]] = []
-        var, val = 1, False
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """First-UIP clause, asserting literal first, and the level it is unit at."""
+        seen, level, reason, trail, val = self.seen, self.level, self.reason, self.trail, self.val
+        dl = len(self.lim)
+        learnt = [0]
+        touched = []
+        pending = pivot = 0
+        i = len(trail)
+        lits = confl
         while True:
-            while var <= n and value[var] is not None:
-                var += 1
-            if var > n:
-                if not self.require_some_true or True in value:
-                    return True
-                ok = False
-            else:
-                self.nodes += 1
-                if self.nodes > self.max_nodes:
-                    raise BudgetExceeded(
-                        f"search exceeded {self.max_nodes} states; "
-                        f"deepest decision level {self.max_depth}"
-                    )
-                mark = self._mark()
-                stack.append((var, mark, val))
-                if len(stack) > self.max_depth:
-                    self.max_depth = len(stack)
-                ok = self._assign(var, val) and self._probe_around(mark)
-            if ok:
-                val = False
-                continue
-            while stack:
-                var, mark, val = stack.pop()
-                self._undo(mark)
-                if not val:
-                    val = True
-                    break
-            else:
-                return False
+            for c in lits:
+                u = c >> 1
+                if u != pivot and not seen[u] and level[u]:
+                    seen[u] = 1
+                    touched.append(u)
+                    if level[u] == dl:
+                        pending += 1
+                    else:
+                        learnt.append(self.code[c ^ 1 if val[c] else c])
+            i -= 1
+            while not seen[trail[i] >> 1]:
+                i -= 1
+            pivot = trail[i] >> 1
+            seen[pivot] = 0
+            pending -= 1
+            if not pending:
+                break
+            lits = reason[pivot]
+        learnt[0] = self.code[trail[i] ^ 1]
+        learnt[1:] = [
+            c for c in learnt[1:]
+            if reason[c >> 1] is None
+            or any(not seen[x >> 1] and level[x >> 1] for x in reason[c >> 1])
+        ]
+        act, inc = self.activity, self.inc
+        for u in touched:
+            seen[u] = 0
+            act[u] += inc
+        self.inc = inc / 0.95
+        if self.inc > 1e100:
+            self.activity = [a * 1e-100 for a in act]
+            self.inc *= 1e-100
+            self._rebuild_heap()
+        if len(learnt) == 1:
+            return learnt, 0
+        k = max(range(1, len(learnt)), key=lambda k: level[learnt[k] >> 1])
+        learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, level[learnt[1] >> 1]
+
+    def _rebuild_heap(self) -> None:
+        act, val = self.activity, self.val
+        self.heap = [(-act[v], v) for v in range(1, self.n + 1) if val[2 * v] is None]
+        heapq.heapify(self.heap)
+
+    def _backtrack(self, lvl: int) -> None:
+        if len(self.lim) <= lvl:
+            return
+        start = self.lim[lvl]
+        val, act, heap = self.val, self.activity, self.heap
+        for p in self.trail[start:]:
+            val[p] = val[p ^ 1] = None
+            heapq.heappush(heap, (-act[p >> 1], p >> 1))
+        del self.trail[start:]
+        del self.lim[lvl:]
+        self.qhead = start
+        if len(heap) > 2 * self.n:
+            self._rebuild_heap()
+
+    def _decide(self, lit: int | None) -> bool:
+        """Open a level with lit, or else the most active free variable False.
+
+        Returns False when no variable is free.  Heap entries whose activity
+        is stale or whose variable is assigned are dropped on the way.
+        """
+        heap, val, act = self.heap, self.val, self.activity
+        while lit is None and heap:
+            key, v = heapq.heappop(heap)
+            if val[2 * v] is None and -key == act[v]:
+                lit = self.code[2 * v + 1]
+        if lit is None:
+            return False
+        self.decisions += 1
+        if self.decisions > self.max_states:
+            raise BudgetExceeded(
+                f"search exceeded {self.max_states} states; "
+                f"deepest decision level {self.max_depth}"
+            )
+        self.lim.append(len(self.trail))
+        self.max_depth = max(self.max_depth, len(self.lim))
+        self._assign(lit, None)
+        return True
+
+    def _search(self, assume: int | None) -> bool:
+        """Search from level 0 with `assume` at level 1 unless implied; True at a model."""
+        self.solves += 1
+        while True:
+            confl = self._propagate()
+            if confl is not None:
+                self.conflicts += 1
+                if not self.lim:
+                    return False
+                learnt, back = self._analyze(confl)
+                self._backtrack(back)
+                if len(learnt) > 1:
+                    self.learned += 1
+                    self.cwatch.setdefault(learnt[0], []).append(learnt)
+                    self.cwatch.setdefault(learnt[1], []).append(learnt)
+                self._assign(learnt[0], learnt if len(learnt) > 1 else None)
+            elif assume is not None and not self.lim and self.val[assume] is not True:
+                if self.val[assume] is False:
+                    return False
+                self._decide(assume)
+            elif not self._decide(None):
+                return True
+
+    def solve(self, max_states: int) -> list[bool | None] | None:
+        """Lexicographically smallest model (index 0 unused), or None; needs n >= 1."""
+        self.max_states = max_states
+        self._assign(3, None)  # variable 1 False
+        if not self._search(None):
+            return None
+        model = self._model()
+        self._backtrack(0)
+        val = self.val
+        for i in range(2, self.n + 1):
+            if val[2 * i] is None:
+                if model[i] and self._search(self.code[2 * i + 1]):
+                    model = self._model()
+                self._backtrack(0)
+                if val[2 * i] is None:
+                    self._assign(self.code[2 * i + (not model[i])], None)
+                    self._propagate()
+        return model
+
+    def _model(self) -> list[bool | None]:
+        return [self.val[2 * v] for v in range(self.n + 1)]
 
 
 def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assignment | None:
@@ -273,7 +352,7 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
     if f.num_vars == 0:
         return {} if not f.clauses else None
     engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
-    result = engine.solve(require_some_true=False, max_nodes=budget.max_states)
+    result = engine.solve(budget.max_states)
     if result is None:
         return None
     witness = {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
@@ -288,7 +367,9 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
     Encoding: vertex on side A means bit 1, vertex 1 is pinned to side B
     (cut sides are symmetric), and "smallest" is lexicographic over the side
     bits of vertices 2..n with side B first.  Graphs with fewer than two
-    vertices admit no cut at all.
+    vertices admit no cut at all.  Without a triangle the smallest cut puts
+    vertex n alone on side A; with one, no triangle-free cut leaves a side
+    empty, so the engine needs no "some vertex on side A" constraint.
     """
     budget = budget or SearchBudget()
     n = g.num_vertices
@@ -298,8 +379,10 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
         raise BudgetExceeded(
             f"2^{n - 1} candidate cuts exceed the budget of {budget.max_states} states"
         )
-    engine = _NaeEngine(n, enumerate_triangles(g))
-    result = engine.solve(require_some_true=True, max_nodes=budget.max_states)
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return Cut(frozenset({n}), frozenset(range(1, n)))
+    result = _NaeEngine(n, triangles).solve(budget.max_states)
     if result is None:
         return None
     side_a = frozenset(v for v in range(1, n + 1) if result[v])

@@ -19,6 +19,7 @@ from naecut import (
     cut_from_4colouring,
     emit_cut_witness,
     emit_nae_witness,
+    enumerate_triangles,
     exhaustive_budget,
     find_k_colouring,
     generate_instance,
@@ -67,6 +68,39 @@ def naive_cut_smallest(g):
             continue
         return Cut(side_a, frozenset(v for v in side if not side[v]))
     return None
+
+
+def chronological_smallest(n, groups):
+    """Lex-min NAE model over 1..n by index-order search, False first, with unit propagation."""
+
+    def propagate(a):
+        changed = True
+        while changed:
+            changed = False
+            for g in groups:
+                free = [x for x in g if abs(x) not in a]
+                values = {a[abs(x)] == (x > 0) for x in g if abs(x) in a}
+                if len(values) == 1 and len(free) <= 1:
+                    if not free:
+                        return None
+                    a[abs(free[0])] = (free[0] > 0) != values.pop()
+                    changed = True
+        return a
+
+    def search(a, v):
+        if propagate(a) is None:
+            return None
+        while v in a:
+            v += 1
+        if v > n:
+            return a
+        for value in (False, True):
+            found = search({**a, v: value}, v + 1)
+            if found is not None:
+                return found
+        return None
+
+    return search({}, 1)
 
 
 def random_signed_formula(seed):
@@ -155,16 +189,37 @@ def test_cut_budget_precheck():
 
 
 def test_search_node_cap_is_a_loud_failure():
-    # The engine counts branch nodes against the budget while searching, and
-    # the error says how deep the search got: five False decisions on
-    # variables 2..6, then the sixth node is over the cap.
+    # The engine counts decisions against the budget, and the error says how
+    # deep the search got.  Variable 1 is pinned False before the search;
+    # deciding 2 False propagates 3 True, so the decisions are 2, 4, 5, 6, 7
+    # at levels 1..5, and the sixth decision is over the cap.
     from naecut.solvers import _NaeEngine
 
-    engine = _NaeEngine(10, [])
+    engine = _NaeEngine(10, [(1, 2, 3)])
     with pytest.raises(
         BudgetExceeded, match=r"^search exceeded 5 states; deepest decision level 5$"
     ):
-        engine.solve(require_some_true=True, max_nodes=5)
+        engine.solve(5)
+
+
+def test_budget_exceeded_after_the_first_model_propagates():
+    # Decisions are counted across the first solve and every solve of the
+    # lex-min phase; a cap reached in the later solves raises instead of
+    # returning None or a model that is not yet the smallest.
+    from naecut.solvers import _NaeEngine
+
+    f = generate_instance(0, 40, 84)
+    groups = [cl.literals for cl in f.clauses]
+    full = _NaeEngine(40, groups)
+    assert full.solve(10**9) is not None
+    assert full.solves > 1
+    lex_phase_caps = 0
+    for cap in range(full.decisions):
+        engine = _NaeEngine(40, groups)
+        with pytest.raises(BudgetExceeded):
+            engine.solve(cap)
+        lex_phase_caps += engine.solves > 1
+    assert lex_phase_caps > 0
 
 
 # Deep inputs: the search keeps its decisions on an explicit stack, so a
@@ -178,12 +233,46 @@ def test_nae_deep_formula_has_witness():
 def test_cut_on_large_reduction_graph():
     from naecut import build_graph
 
+    for n, vertices in ((256, 3856), (800, 12040)):
+        split, _ = split_repeated_variables(generate_instance(0, n, round(1.5 * n)))
+        g, _ = build_graph(split)
+        assert g.num_vertices == vertices
+        cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
+        assert cut is not None
+        assert verify_cut_triangle_free(g, cut)
+
+
+def _traced_peak(num_vars, groups):
+    import tracemalloc
+
+    from naecut.solvers import _NaeEngine
+
+    tracemalloc.start()
+    try:
+        engine = _NaeEngine(num_vars, groups)
+        engine.solve(2**30)
+        return tracemalloc.get_traced_memory()[1], engine
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_peak_memory():
+    # The engine stores each triangle once, as one list of shared literal
+    # codes.  On a formula that takes 440 conflicts to refute, the peak
+    # stays bounded because the decision heap is rebuilt before it outgrows
+    # 2n entries (without that it reads about 6,300 bytes per clause).
+    from naecut import build_graph
+
     split, _ = split_repeated_variables(generate_instance(0, 256, 384))
     g, _ = build_graph(split)
-    assert g.num_vertices == 3856
-    cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
-    assert cut is not None
-    assert verify_cut_triangle_free(g, cut)
+    triangles = enumerate_triangles(g)
+    assert len(triangles) == 6684
+    peak, _ = _traced_peak(g.num_vertices, triangles)
+    assert peak < 520 * len(triangles)
+    f = generate_instance(3, 100, 210)
+    peak, engine = _traced_peak(100, [cl.literals for cl in f.clauses])
+    assert engine.conflicts > 400
+    assert peak < 2000 * len(f.clauses)
 
 
 # Gadget-dense graphs: glued tetrahedra are where the engine adds apex
@@ -269,23 +358,59 @@ def test_gadget_dense_graphs_agree_with_enumeration_oracles():
     assert 0 < found < len(graphs)
 
 
+def test_learning_engine_agrees_with_chronological_oracle(monkeypatch):
+    # 20-40 variables with signed 2- and 3-literal groups near the threshold:
+    # large enough that the engine learns clauses, small enough for a
+    # search that shares no code with it.
+    from naecut import solvers
+
+    engines = []
+
+    class Recorded(solvers._NaeEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(solvers, "_NaeEngine", Recorded)
+    found = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(20, 40)
+        clauses = []
+        for _ in range(round(n * rng.uniform(1.3, 1.9))):
+            vs = rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3, 3)))
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+        f = CnfFormula.from_ints(n, clauses)
+        witness = brute_force_nae(f, exhaustive_budget(n))
+        assert witness == chronological_smallest(n, [cl.literals for cl in f.clauses])
+        found += witness is not None
+    assert 0 < found < 200
+    for g in _gadget_dense_graphs():
+        model = chronological_smallest(g.num_vertices, enumerate_triangles(g))
+        expected = None
+        if model is not None:
+            side_a = frozenset(v for v in model if model[v])
+            expected = Cut(side_a, frozenset(model) - side_a)
+        assert brute_force_cut(g) == expected
+    assert sum(e.conflicts for e in engines) > 0
+    assert sum(e.learned for e in engines) > 0
+
+
 def test_apex_equalities_need_four_positive_groups():
     # {4,1,2}, {4,1,3}, {4,2,3} and the same for 5 make 4 and 5 apexes of
     # {1,2,3}; the engine equates them only when all of those groups and the
     # face are positive groups.
-    from naecut.solvers import _NaeEngine
+    from naecut.solvers import _apex_equalities
 
     apex_groups = [[x, a, b] for x in (4, 5) for a, b in ((1, 2), (1, 3), (2, 3))]
-    positive = _NaeEngine(5, [[1, 2, 3]] + apex_groups)
-    assert positive.groups[-1] == (4, -5)
-    assert len(positive.groups) == 8
+    assert _apex_equalities(5, [[1, 2, 3]] + apex_groups) == [(4, -5)]
     for face in ([1, 2, -3], [-1, 2, 3], [1, -2, -3]):
-        assert len(_NaeEngine(5, [face] + apex_groups).groups) == 7
+        assert _apex_equalities(5, [face] + apex_groups) == []
         f = CnfFormula.from_ints(5, [face] + apex_groups)
         assert brute_force_nae(f) == naive_nae_smallest(f)
     # Without {5,2,3}, 1=F, 2=3=T leaves 5 free, so 4 != 5 is satisfiable.
     partial = [[1, 2, 3]] + apex_groups[:5] + [[4, 5]]
-    assert len(_NaeEngine(5, partial).groups) == 7
+    assert _apex_equalities(5, partial) == []
     f = CnfFormula.from_ints(5, partial)
     assert brute_force_nae(f) == naive_nae_smallest(f) == {1: False, 2: True, 3: True, 4: False, 5: True}
     for seed in range(200):
