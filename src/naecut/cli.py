@@ -145,9 +145,8 @@ def cmd_color(args) -> int:
 def cmd_triangles(args) -> int:
     g = parse_graph(_read(args.graph))
     triangles = enumerate_triangles(g)
-    print(f"triangles {len(triangles)}")
-    for u, v, w in triangles:
-        print(f"t {u} {v} {w}")
+    body = "".join(f"t {u} {v} {w}\n" for u, v, w in triangles)
+    sys.stdout.write(f"triangles {len(triangles)}\n{body}")
     return 0
 
 
@@ -192,13 +191,16 @@ def _verify_cut(args) -> int:
         rm = parse_reduction_map(_read(args.map))
         if graph_from_reduction_map(rm) != g:
             raise FormatError("reduction map does not describe this graph")
-        derived = cut_to_assignment(rm, cut)
+        # Variable x is true iff it is on side A, as in cut_to_assignment, whose
+        # graph rebuild and cut check would repeat work already done: the cut
+        # has passed find_monochromatic_triangle on g, and g is the map's graph.
         if args.assignment:
             stated = parse_nae_witness(_read(args.assignment))
             if stated is None:
                 raise FormatError("assignment certificate carries no assignment")
+            side_a = cut.side_a
             mismatched = [
-                x for x, value in derived.items() if stated.get(x) != value
+                x for x in range(1, rm.num_variables + 1) if stated.get(x) != (x in side_a)
             ]
             if mismatched:
                 print(f"invalid: cut disagrees with assignment on variables {mismatched}")

@@ -6,6 +6,7 @@ A graph is held as sorted adjacency tuples, which every reader walks directly.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
@@ -33,8 +34,12 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range 1..{num_vertices}")
             adj[u].append(v)
             adj[v].append(u)
+        for row in adj:
+            row.sort()
+            if len(set(row)) != len(row):
+                row[:] = sorted(set(row))
         self.num_vertices = num_vertices
-        self.adj = [tuple(sorted(set(row))) for row in adj]
+        self.adj = list(map(tuple, adj))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -96,18 +101,21 @@ def complete_graph(n: int) -> Graph:
 def parse_graph(text: str | bytes) -> Graph:
     """Parse a DIMACS-col style graph: `p edge <n> <m>` header, `e <u> <v>` lines."""
     header = None
-    edges: list[tuple[int, ...]] = []
+    edges: list[tuple[int, int]] = []
     for line, tokens in records(text):
-        if tokens[0] == "p":
-            if header is not None:
-                raise FormatError("duplicate 'p edge' header")
-            header = read_header(tokens, "edge", line)
-        elif tokens[0] == "e":
+        if tokens[0] == "e":
             if header is None:
                 raise FormatError("edge line before 'p edge' header")
             if len(tokens) != 3:
                 raise FormatError(f"malformed edge line: {line!r}")
-            edges.append(ints(tokens[1:], "edge line", line))
+            try:
+                edges.append((int(tokens[1]), int(tokens[2])))
+            except ValueError:
+                raise FormatError(f"malformed edge line: {line!r}") from None
+        elif tokens[0] == "p":
+            if header is not None:
+                raise FormatError("duplicate 'p edge' header")
+            header = read_header(tokens, "edge", line)
         else:
             raise FormatError(f"unrecognized line: {line!r}")
     if header is None:
@@ -144,7 +152,10 @@ def parse_colouring(text: str | bytes) -> Colouring:
         elif len(tokens) != 2:
             raise FormatError(f"malformed colour line: {line!r}")
         else:
-            v, c = ints(tokens, "colour line", line)
+            try:
+                v, c = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise FormatError(f"malformed colour line: {line!r}") from None
             if v in colours:
                 raise FormatError(f"vertex {v} coloured twice")
             colours[v] = c
@@ -159,13 +170,24 @@ def emit_colouring(c: Colouring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _triangles(g: Graph):
-    """Each triangle (u, v, w) in lexicographic order: u < v < w, w in adj[v] and adj[u]."""
-    for u, row in enumerate(g.adj):
-        higher = [v for v in row if v > u]
+def _triangles(g: Graph, side: frozenset[int] | None = None):
+    """Each triangle (u, v, w) in lexicographic order: u < v < w, w in adj[v] and adj[u].
+
+    Given `side`, only the triangles whose three vertices are all in it or all
+    outside it: each u then walks only its higher neighbours on its own side.
+    """
+    adj = g.adj
+    for u, row in enumerate(adj):
+        i = bisect_right(row, u)
+        if len(row) - i < 2:
+            continue
+        higher = row[i:]
+        if side is not None:
+            in_side = u in side
+            higher = [v for v in higher if (v in side) == in_side]
         common = set(higher)
         for v in higher:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w > v and w in common:
                     yield (u, v, w)
 
@@ -226,11 +248,7 @@ def verify_colouring(g: Graph, c: Colouring) -> bool:
 
 def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | None:
     """Lexicographically first triangle inside one side of the cut; stops at the first hit."""
-    side_a = cut.side_a
-    for u, v, w in _triangles(g):
-        if (u in side_a) == (v in side_a) == (w in side_a):
-            return (u, v, w)
-    return None
+    return next(_triangles(g, cut.side_a), None)
 
 
 def verify_cut_triangle_free(g: Graph, cut: Cut) -> bool:

@@ -10,24 +10,33 @@ from __future__ import annotations
 from .errors import FormatError
 
 
-def lines(text: str | bytes):
-    """The stripped, non-blank lines of the text."""
+def _decoded(text: str | bytes) -> str:
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            return text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"input is not UTF-8: {exc}") from None
-    for raw in text.splitlines():
+    return text
+
+
+def lines(text: str | bytes):
+    """The stripped, non-blank lines of the text."""
+    for raw in _decoded(text).splitlines():
         line = raw.strip()
         if line:
             yield line
 
 
 def records(text: str | bytes):
-    """(line, tokens) for each non-blank line that is not a `c` comment."""
-    for line in lines(text):
-        if not line.startswith("c"):
-            yield line, line.split()
+    """(line, tokens) for each non-blank line that is not a `c` comment.
+
+    `line` is the stripped line; `str.split` and `str.strip` share one notion
+    of whitespace, so the tokens of a line are those of its stripped form.
+    """
+    for raw in _decoded(text).splitlines():
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "c":
+            yield raw.strip(), tokens
 
 
 def ints(tokens, what: str, line: str) -> tuple[int, ...]:

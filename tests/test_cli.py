@@ -16,6 +16,7 @@ from naecut import (
     emit_transform_map,
     generate_instance,
     lift_assignment,
+    parse_nae_witness,
     split_repeated_variables,
 )
 from naecut.cli import main
@@ -279,6 +280,35 @@ def test_verify_cut_cross_checks_assignment_via_map(tmp_path, capsys):
         "--map", str(map_file), "--assignment", str(wit_file),
     )
     assert code == 0
+
+    # The map of another formula's graph is a format error.
+    k3 = tmp_path / "k3.cnf"
+    k3.write_text(K3_CNF)
+    other_map = tmp_path / "k3.rmap"
+    assert run(capsys, "reduce", str(k3), "--map", str(other_map))[0] == 0
+    assert main(["verify", "cut", str(graph_file), str(cut_file), "--map", str(other_map)]) == 2
+    assert "reduction map does not describe this graph" in capsys.readouterr().err
+
+    # An assignment with variable 1 flipped disagrees with the cut there alone.
+    wit = parse_nae_witness(wit_file.read_text())
+    flipped = tmp_path / "flipped.txt"
+    flipped.write_text(emit_nae_witness({**wit, 1: not wit[1]}))
+    code, out = run(
+        capsys, "verify", "cut", str(graph_file), str(cut_file),
+        "--map", str(map_file), "--assignment", str(flipped),
+    )
+    assert code == 1
+    assert out == "invalid: cut disagrees with assignment on variables [1]\n"
+
+    # The map does not excuse a monochromatic triangle: clause 1 2 3 is one.
+    mono = tmp_path / "mono.txt"
+    mono.write_text("s CUT-FOUND\nv 1 2 3 0\n")
+    code, out = run(
+        capsys, "verify", "cut", str(graph_file), str(mono),
+        "--map", str(map_file), "--assignment", str(wit_file),
+    )
+    assert code == 1
+    assert out == "invalid: monochromatic triangle 1 2 3\n"
 
 
 def test_verify_coloring(tmp_path, capsys):

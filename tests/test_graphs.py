@@ -6,11 +6,13 @@ import pytest
 
 from naecut import (
     BudgetExceeded,
+    CnfFormula,
     Colouring,
     Cut,
     FormatError,
     Graph,
     SearchBudget,
+    assignment_to_cut,
     build_graph,
     canonical_gadget,
     complete_graph,
@@ -20,6 +22,7 @@ from naecut import (
     find_k_colouring,
     find_monochromatic_triangle,
     generate_instance,
+    lift_assignment,
     max_degree,
     parse_colouring,
     parse_graph,
@@ -147,6 +150,10 @@ def test_parse_error_cases():
     ):
         with pytest.raises(FormatError):
             parse_graph(text)
+    # The exact message; an int error is reported before a later unrecognized line.
+    for text in ("p edge 2 1\ne 1 x", "p edge 2 1\ne 1 x\nx 1 2"):
+        with pytest.raises(FormatError, match=r"^malformed edge line: 'e 1 x'$"):
+            parse_graph(text)
 
 
 def test_graph_roundtrip_normalizes():
@@ -187,16 +194,30 @@ def test_triangle_enumeration_matches_naive_oracle():
 
 
 def test_monochromatic_triangle_matches_naive_scan():
+    cases = []
     for seed in range(80):
         rng = random.Random(seed)
         n = 3 + seed % 11
         g = random_graph(seed, n, p=rng.choice((0.3, 0.6, 0.9)))
-        cut = random_cut(rng, n)
-        expected = next(
-            (t for t in naive_triangles(g) if len({v in cut.side_a for v in t}) == 1), None
-        )
-        assert find_monochromatic_triangle(g, cut) == expected
-        assert find_monochromatic_triangle(g, cut.swapped()) == expected
+        cases.append((g, [random_cut(rng, n)]))
+    # Random cuts rarely split every triangle 2:1.  The valid cut of a reduction
+    # graph does, and each single-vertex flip of it leaves few same-side pairs.
+    for seed, n in ((0, 6), (1, 8), (2, 10), (3, 12)):
+        rng = random.Random(seed)
+        planted = {x: rng.random() < 0.5 for x in range(1, n + 1)}
+        clauses = generate_instance(seed, n, n * 3 // 2).clauses
+        kept = tuple(c for c in clauses if len({planted[x] for x in c.variables()}) == 2)
+        split, tm = split_repeated_variables(CnfFormula(n, kept))
+        g, rm = build_graph(split)
+        cut = assignment_to_cut(split, rm, lift_assignment(tm, planted))
+        flips = [Cut(cut.side_a ^ {v}, cut.side_b ^ {v}) for v in range(1, g.num_vertices + 1)]
+        cases.append((g, [cut, *flips]))
+    for g, cuts in cases:
+        triangles = naive_triangles(g)
+        for cut in cuts:
+            expected = next((t for t in triangles if len({v in cut.side_a for v in t}) == 1), None)
+            assert find_monochromatic_triangle(g, cut) == expected
+            assert find_monochromatic_triangle(g, cut.swapped()) == expected
 
 
 def test_max_degree():
@@ -244,6 +265,9 @@ def test_colouring_certificate_roundtrip():
     assert parse_colouring("c note\r\nk 3\r\n\r\n1 1\r\n2 2\r\n3 3\r\n") == c
     for text in ("k 3\nk 3\n1 1\n", "k\n1 1\n", "k x\n", "k 3\n1 1 1\n", "k 3\n1 x\n", ""):
         with pytest.raises(FormatError):
+            parse_colouring(text)
+    for text in ("k 3\n1 x\n", "k 3\n1 x\n1 2 3\n"):
+        with pytest.raises(FormatError, match=r"^malformed colour line: '1 x'$"):
             parse_colouring(text)
 
 
