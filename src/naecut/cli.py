@@ -11,9 +11,10 @@ import argparse
 import os
 import random
 import sys
+from collections import Counter
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
-from .formula import emit_cnf, nae_satisfies, occurrence_counts, parse_cnf
+from .formula import emit_cnf, first_all_equal_clause, nae_satisfies, occurrence_counts, parse_cnf
 from .graphs import (
     emit_colouring,
     emit_graph,
@@ -162,16 +163,12 @@ def _verify_assignment(args) -> int:
         except ValueError as exc:
             print(f"invalid: {exc}")
             return 1
-    if nae_satisfies(f, witness):
+    i = first_all_equal_clause(f, witness)
+    if i is None:
         print("valid assignment")
         return 0
-    for i, clause in enumerate(f.clauses, start=1):
-        values = [witness[abs(x)] == (x > 0) for x in clause.literals]
-        if all(values) or not any(values):
-            lits = " ".join(str(x) for x in clause.literals)
-            print(f"invalid: clause {i} ({lits}) has all-equal values")
-            return 1
-    print("invalid")
+    lits = " ".join(str(x) for x in f.clauses[i - 1].literals)
+    print(f"invalid: clause {i} ({lits}) has all-equal values")
     return 1
 
 
@@ -215,8 +212,9 @@ def _verify_coloring(args) -> int:
     if verify_colouring(g, colouring):
         print("valid colouring")
         return 0
+    colours = colouring.colours
     for u, v in g.sorted_edges():
-        if colouring.colours.get(u) == colouring.colours.get(v):
+        if u in colours and colours[u] == colours.get(v):
             print(f"invalid: edge {u} {v} is monochromatic")
             return 1
     print("invalid: colouring is partial or uses colours outside 1..k")
@@ -259,15 +257,10 @@ def _roundtrip_trial(f, break_gadget: bool) -> list[str]:
     colouring = construct_5_colouring(g, rm)
     if colouring.k > 5:
         problems.append("colour-bound")
-    triangles = enumerate_triangles(g)
-    for gadget in rm.clause_gadget.values():
-        for v in gadget.internal_vertices():
-            if sum(1 for tri in triangles if v in tri) != 5:
-                problems.append("gadget-triangles")
-                break
-        else:
-            continue
-        break
+    per_vertex = Counter(v for tri in enumerate_triangles(g) for v in tri)
+    internal = [v for gadget in rm.clause_gadget.values() for v in gadget.internal_vertices()]
+    if any(per_vertex[v] != 5 for v in internal):
+        problems.append("gadget-triangles")
 
     cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
     if (cut is not None) != (wit is not None):

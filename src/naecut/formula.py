@@ -115,16 +115,21 @@ def is_monotone_3sat(f: CnfFormula) -> bool:
     )
 
 
-def nae_satisfies(f: CnfFormula, assignment: Assignment) -> bool:
-    """True iff no clause gets all-equal literal values (2-clauses: values differ)."""
+def first_all_equal_clause(f: CnfFormula, assignment: Assignment) -> int | None:
+    """1-based index of the first clause whose literals all take one value, or None."""
     for x in range(1, f.num_vars + 1):
         if x not in assignment:
             raise ValueError(f"assignment is missing variable {x}")
-    for clause in f.clauses:
+    for i, clause in enumerate(f.clauses, start=1):
         values = [assignment[abs(x)] == (x > 0) for x in clause.literals]
         if all(values) or not any(values):
-            return False
-    return True
+            return i
+    return None
+
+
+def nae_satisfies(f: CnfFormula, assignment: Assignment) -> bool:
+    """True iff no clause gets all-equal literal values (2-clauses: values differ)."""
+    return first_all_equal_clause(f, assignment) is None
 
 
 def complement_assignment(assignment: Assignment) -> Assignment:

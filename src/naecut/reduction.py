@@ -12,7 +12,7 @@ NAE-satisfiable, stays 5-colourable, and has maximum degree 8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import FormatError
 from .formula import Assignment, Clause, CnfFormula, nae_satisfies
@@ -74,31 +74,19 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
             "input violates the split-formula properties: "
             + ", ".join(report.failures())
         )
-    n = f.num_vars
-    edges: list[tuple[int, int]] = []
     clause_triangle: dict[int, tuple[int, int, int]] = {}
     clause_gadget: dict[int, Gadget] = {}
-    next_vertex = n + 1
+    next_vertex = f.num_vars + 1
+    # The properties make a 3-clause unnegated and a 2-clause one literal of each sign.
     for ci, clause in enumerate(f.clauses, start=1):
         if len(clause.literals) == 3:
-            v1, v2, v3 = sorted(clause.variables())
-            clause_triangle[ci] = (v1, v2, v3)
-            edges.extend([(v1, v2), (v1, v3), (v2, v3)])
+            clause_triangle[ci] = tuple(sorted(clause.literals))
         else:
-            pos = next(x for x in clause.literals if x > 0)
-            neg = next(-x for x in clause.literals if x < 0)
-            gadget = Gadget(pos, neg, next_vertex, next_vertex + 1, next_vertex + 2)
+            neg, pos = sorted(clause.literals)
+            clause_gadget[ci] = Gadget(pos, -neg, next_vertex, next_vertex + 1, next_vertex + 2)
             next_vertex += 3
-            clause_gadget[ci] = gadget
-            edges.extend(gadget.edge_list())
-    g = Graph(next_vertex - 1, edges)
-    rm = ReductionMap(
-        num_variables=n,
-        num_vertices=next_vertex - 1,
-        clause_triangle=clause_triangle,
-        clause_gadget=clause_gadget,
-    )
-    return g, rm
+    rm = ReductionMap(f.num_vars, next_vertex - 1, clause_triangle, clause_gadget)
+    return graph_from_reduction_map(rm), rm
 
 
 def graph_from_reduction_map(rm: ReductionMap) -> Graph:
@@ -232,12 +220,7 @@ class GadgetCertificate:
     endpoints_nonadjacent_degree_three: bool
 
     def all_ok(self) -> bool:
-        return (
-            self.endpoints_together_in_every_cut
-            and self.triangle_free_cut_exists
-            and self.endpoint_colour_pairs_extend
-            and self.endpoints_nonadjacent_degree_three
-        )
+        return all(getattr(self, fld.name) for fld in fields(self))
 
 
 def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:

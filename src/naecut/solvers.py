@@ -37,6 +37,7 @@ from .graphs import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+from .reduction import cut_from_vertex_assignment
 from .textio import ints, records
 
 _MAX_CLAUSE_ATTEMPTS = 10_000
@@ -417,30 +418,18 @@ def cut_from_4colouring(g: Graph, colouring: Colouring) -> Cut:
     """Triangle-free cut from a proper 4-colouring: colours {1,2} vs {3,4}.
 
     A triangle inside one side would need three distinct colours within a
-    two-colour class.  If one side comes out empty, the smallest vertex of
-    the full side moves over; a lone vertex forms no triangle and removing
-    a vertex cannot create one.
+    two-colour class.  The classes become a vertex assignment, so a one-sided
+    split is rebalanced as in cut_from_vertex_assignment: such a colouring
+    uses two colours, the graph is bipartite, and vertex 1 moves over.
     """
     if colouring.k > 4:
         raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    if g.num_vertices < 2:
-        raise ValueError("a cut needs at least two vertices")
     if not verify_colouring(g, colouring):
         raise ValueError("not a proper colouring of the graph")
-    side_a = {v for v in range(1, g.num_vertices + 1) if colouring.colours[v] in (1, 2)}
-    side_b = {v for v in range(1, g.num_vertices + 1) if colouring.colours[v] in (3, 4)}
-    if not side_a:
-        v = min(side_b)
-        side_b.discard(v)
-        side_a.add(v)
-    elif not side_b:
-        v = min(side_a)
-        side_a.discard(v)
-        side_b.add(v)
-    cut = Cut(frozenset(side_a), frozenset(side_b))
-    if not verify_cut_triangle_free(g, cut):
-        raise AssertionError("colour-class cut is not triangle-free")
-    return cut
+    colours = colouring.colours
+    return cut_from_vertex_assignment(
+        g, {v: colours[v] in (1, 2) for v in range(1, g.num_vertices + 1)}
+    )
 
 
 def randbelow(rng: random.Random, bound: int) -> int:

@@ -9,7 +9,8 @@ satisfiability is preserved in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, fields
 
 from .errors import FormatError
 from .formula import (
@@ -98,32 +99,14 @@ class PropertyReport:
     thrice_occurrence_polarity: bool
 
     def all_hold(self) -> bool:
-        return all(self.as_tuple())
-
-    def as_tuple(self) -> tuple[bool, ...]:
-        return (
-            self.clause_shapes,
-            self.occurrence_bound,
-            self.pair_cooccurrence,
-            self.triple_clause_membership,
-            self.low_occurrence_polarity,
-            self.thrice_occurrence_polarity,
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        names = (
-            "clause_shapes",
-            "occurrence_bound",
-            "pair_cooccurrence",
-            "triple_clause_membership",
-            "low_occurrence_polarity",
-            "thrice_occurrence_polarity",
-        )
-        return [name for name, ok in zip(names, self.as_tuple()) if not ok]
+        return [fld.name for fld in fields(self) if not getattr(self, fld.name)]
 
 
 def check_properties(f: CnfFormula) -> PropertyReport:
-    """Evaluate the six structural properties of a formula.
+    """Evaluate the six structural properties of a formula in one pass.
 
     1. every clause is three unnegated literals, or one unnegated and one
        negated literal;
@@ -133,48 +116,36 @@ def check_properties(f: CnfFormula) -> PropertyReport:
     5. a variable occurring once or twice has an unnegated occurrence;
     6. a variable occurring three times has exactly one negated occurrence.
     """
-    counts = occurrence_counts(f)
-    negated = {x: 0 for x in range(1, f.num_vars + 1)}
-    triple_membership = {x: 0 for x in range(1, f.num_vars + 1)}
-    pair_uses: dict[tuple[int, int], int] = {}
-
-    shapes_ok = True
+    occurrences = [0] * (f.num_vars + 1)
+    negated = [0] * (f.num_vars + 1)
+    triples = [0] * (f.num_vars + 1)
+    pairs: set[tuple[int, int]] = set()
+    shapes_ok = pairs_ok = True
     for clause in f.clauses:
-        neg = sum(1 for x in clause.literals if x < 0)
-        if len(clause.literals) == 3:
-            if neg != 0:
-                shapes_ok = False
-        else:
-            if neg != 1:
-                shapes_ok = False
-        for x in clause.literals:
-            if x < 0:
-                negated[-x] += 1
-            if len(clause.literals) == 3:
-                triple_membership[abs(x)] += 1
-        variables = sorted(clause.variables())
-        for i in range(len(variables)):
-            for j in range(i + 1, len(variables)):
-                pair = (variables[i], variables[j])
-                pair_uses[pair] = pair_uses.get(pair, 0) + 1
+        variables = sorted(map(abs, clause.literals))
+        negs = [-x for x in clause.literals if x < 0]
+        is_triple = len(variables) == 3
+        shapes_ok = shapes_ok and len(negs) == (0 if is_triple else 1)
+        for x in variables:
+            occurrences[x] += 1
+            if is_triple:
+                triples[x] += 1
+        for x in negs:
+            negated[x] += 1
+        for pair in itertools.combinations(variables, 2):
+            pairs_ok = pairs_ok and pair not in pairs
+            pairs.add(pair)
 
-    occurrence_ok = all(c <= 3 for c in counts.values())
-    pairs_ok = all(c <= 1 for c in pair_uses.values())
-    triple_ok = all(
-        triple_membership[x] == 1 for x in counts if counts[x] >= 1
-    )
-    low_ok = all(
-        negated[x] < counts[x] for x in counts if counts[x] in (1, 2)
-    )
-    thrice_ok = all(negated[x] == 1 for x in counts if counts[x] == 3)
-
+    used = [x for x in range(1, f.num_vars + 1) if occurrences[x]]
     return PropertyReport(
         clause_shapes=shapes_ok,
-        occurrence_bound=occurrence_ok,
+        occurrence_bound=all(occurrences[x] <= 3 for x in used),
         pair_cooccurrence=pairs_ok,
-        triple_clause_membership=triple_ok,
-        low_occurrence_polarity=low_ok,
-        thrice_occurrence_polarity=thrice_ok,
+        triple_clause_membership=all(triples[x] == 1 for x in used),
+        low_occurrence_polarity=all(
+            negated[x] < occurrences[x] for x in used if occurrences[x] <= 2
+        ),
+        thrice_occurrence_polarity=all(negated[x] == 1 for x in used if occurrences[x] == 3),
     )
 
 

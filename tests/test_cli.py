@@ -232,7 +232,16 @@ def test_verify_assignment(tmp_path, capsys):
     bad.write_text("s NAE-SATISFIABLE\nv 1 2 3 0\n")
     code, out = run(capsys, "verify", "assignment", str(src), str(bad))
     assert code == 1
-    assert "clause 1" in out
+    assert out == "invalid: clause 1 (1 2 3) has all-equal values\n"
+    # The first all-equal clause is named, and a witness missing a variable is a format error.
+    src.write_text("p cnf 4 2\n1 2 3 0\n2 3 4 0\n")
+    bad.write_text("s NAE-SATISFIABLE\nv 1 -2 -3 -4 0\n")
+    assert run(capsys, "verify", "assignment", str(src), str(bad)) == (
+        1,
+        "invalid: clause 2 (2 3 4) has all-equal values\n",
+    )
+    bad.write_text("s NAE-SATISFIABLE\nv 1 -2 -3 0\n")
+    assert run(capsys, "verify", "assignment", str(src), str(bad)) == (2, "")
 
 
 def test_verify_assignment_equality_clause_violation(tmp_path, capsys):
@@ -320,7 +329,20 @@ def test_verify_coloring(tmp_path, capsys):
     cert.write_text("k 3\n1 1\n2 1\n3 3\n")
     code, out = run(capsys, "verify", "coloring", str(graph), str(cert))
     assert code == 1
-    assert "edge 1 2" in out
+    assert out == "invalid: edge 1 2 is monochromatic\n"
+    graph.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    # Vertices 1 and 2 are uncoloured: edge 1 2 is not monochromatic.
+    cert.write_text("k 3\n3 1\n")
+    assert run(capsys, "verify", "coloring", str(graph), str(cert)) == (
+        1,
+        "invalid: colouring is partial or uses colours outside 1..k\n",
+    )
+    # A partial colouring with a real monochromatic edge still names that edge.
+    cert.write_text("k 3\n2 1\n3 1\n")
+    assert run(capsys, "verify", "coloring", str(graph), str(cert)) == (
+        1,
+        "invalid: edge 2 3 is monochromatic\n",
+    )
 
 
 def test_verify_rejects_malformed_certificate(tmp_path, capsys):
@@ -348,15 +370,27 @@ def test_roundtrip_zero_trials(capsys):
 
 
 def test_roundtrip_break_gadget_detects_failures(capsys):
-    # n=4, m=6 guarantees repeated variables and therefore gadgets.
-    code, out = run(
-        capsys,
-        "roundtrip", "--seed", "5", "-n", "4", "-m", "6",
-        "--trials", "6", "--break-gadget",
-    )
-    assert code == 1
-    assert "FAIL" in out
-    assert "gadget-triangles" in out
+    # n=4, m=6 guarantees repeated variables and therefore gadgets; trial 3
+    # (one clause, no repeated variable) has no gadget to break.
+    argv = ["roundtrip", "--seed", "5", "-n", "4", "-m", "6", "--trials", "6"]
+    assert run(capsys, *argv, "--break-gadget") == (1, (
+        "trial 0 seed 1539898300 n 4 m 6 FAIL gadget-triangles\n"
+        "trial 1 seed 3332716663 n 3 m 4 FAIL gadget-triangles\n"
+        "trial 2 seed 222708024 n 3 m 6 FAIL gadget-triangles\n"
+        "trial 3 seed 1596840319 n 3 m 1 ok\n"
+        "trial 4 seed 1635342798 n 4 m 2 FAIL gadget-triangles\n"
+        "trial 5 seed 1070867289 n 3 m 5 FAIL gadget-triangles\n"
+        "trials 6 passed 1 failed 5\n"
+    ))
+    assert run(capsys, *argv) == (0, (
+        "trial 0 seed 1539898300 n 4 m 6 ok\n"
+        "trial 1 seed 3332716663 n 3 m 4 ok\n"
+        "trial 2 seed 222708024 n 3 m 6 ok\n"
+        "trial 3 seed 1596840319 n 3 m 1 ok\n"
+        "trial 4 seed 1635342798 n 4 m 2 ok\n"
+        "trial 5 seed 1070867289 n 3 m 5 ok\n"
+        "trials 6 passed 6 failed 0\n"
+    ))
 
 
 def test_exit_code_2_on_missing_file(capsys):

@@ -17,6 +17,7 @@ from naecut import (
     parse_cnf,
     split_repeated_variables,
 )
+from naecut.formula import first_all_equal_clause
 
 
 def test_parse_smallest_monotone_instance():
@@ -120,6 +121,29 @@ def test_nae_requires_total_assignment():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
     with pytest.raises(ValueError):
         nae_satisfies(f, {1: True, 2: False})
+
+
+def test_first_all_equal_clause_matches_a_naive_scan():
+    rng = random.Random(3)
+    found = set()
+    for _ in range(600):
+        n = rng.randint(3, 7)
+        picks = [rng.sample(range(1, n + 1), rng.choice((2, 3))) for _ in range(rng.randint(1, 6))]
+        clauses = [[x if rng.random() < 0.5 else -x for x in pick] for pick in picks]
+        f = CnfFormula.from_ints(n, clauses)
+        a = {x: rng.random() < 0.5 for x in range(1, n + 1)}
+        naive = None
+        for i, lits in enumerate(clauses, start=1):
+            if len({a[abs(x)] == (x > 0) for x in lits}) == 1:
+                naive = i
+                break
+        assert first_all_equal_clause(f, a) == naive
+        assert nae_satisfies(f, a) == (naive is None)
+        found.add(naive is None)
+        del a[n]
+        with pytest.raises(ValueError, match=f"missing variable {n}"):
+            first_all_equal_clause(f, a)
+    assert found == {True, False}
 
 
 def test_nae_is_self_complementary():

@@ -106,7 +106,13 @@ def test_every_triangle_is_a_clause_triangle_or_inside_one_gadget():
 
 def test_graph_from_reduction_map_rebuilds():
     g, rm = build_graph(split_example())
-    assert graph_from_reduction_map(rm) == g
+    # Clauses (1 2 3), (6 4 5), (1 -6): two triangles and the gadget x=1, y=6, face {7, 8, 9}.
+    assert g.sorted_edges() == [
+        (1, 2), (1, 3), (1, 7), (1, 8), (1, 9), (2, 3), (4, 5), (4, 6),
+        (5, 6), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
+    ]
+    assert g.num_vertices == 9
+    assert graph_from_reduction_map(parse_reduction_map(emit_reduction_map(rm))) == g
 
 
 def test_reduction_map_serialization_roundtrip():

@@ -496,6 +496,9 @@ def test_cut_from_4colouring_rebalances_empty_side():
     cut = cut_from_4colouring(g, Colouring({1: 1, 2: 2, 3: 1}, 2))
     assert cut.side_b == frozenset({1})
     assert verify_cut_triangle_free(g, cut)
+    # Only colours 3 and 4: every vertex starts on side B and vertex 1 moves to A.
+    cut = cut_from_4colouring(g, Colouring({1: 3, 2: 4, 3: 3}, 4))
+    assert cut == Cut(frozenset({1}), frozenset({2, 3}))
 
 
 def test_cut_from_4colouring_rejects_improper():

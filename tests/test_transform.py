@@ -1,7 +1,11 @@
+import random
+from dataclasses import fields
+
 import pytest
 
 from naecut import (
     CnfFormula,
+    PropertyReport,
     FormatError,
     brute_force_nae,
     check_properties,
@@ -85,6 +89,69 @@ def test_properties_lone_two_clause_violates_triple_membership():
     f = CnfFormula.from_ints(2, [[1, -2]])
     report = check_properties(f)
     assert not report.triple_clause_membership
+
+
+def reference_check_properties(f):
+    """The multi-pass check that the one-pass `check_properties` replaced; the reference."""
+    counts = occurrence_counts(f)
+    negated = {x: 0 for x in range(1, f.num_vars + 1)}
+    triple_membership = {x: 0 for x in range(1, f.num_vars + 1)}
+    pair_uses = {}
+    shapes_ok = True
+    for clause in f.clauses:
+        neg = sum(1 for x in clause.literals if x < 0)
+        if len(clause.literals) == 3:
+            if neg != 0:
+                shapes_ok = False
+        else:
+            if neg != 1:
+                shapes_ok = False
+        for x in clause.literals:
+            if x < 0:
+                negated[-x] += 1
+            if len(clause.literals) == 3:
+                triple_membership[abs(x)] += 1
+        variables = sorted(clause.variables())
+        for i in range(len(variables)):
+            for j in range(i + 1, len(variables)):
+                pair = (variables[i], variables[j])
+                pair_uses[pair] = pair_uses.get(pair, 0) + 1
+    return PropertyReport(
+        clause_shapes=shapes_ok,
+        occurrence_bound=all(c <= 3 for c in counts.values()),
+        pair_cooccurrence=all(c <= 1 for c in pair_uses.values()),
+        triple_clause_membership=all(triple_membership[x] == 1 for x in counts if counts[x] >= 1),
+        low_occurrence_polarity=all(negated[x] < counts[x] for x in counts if counts[x] in (1, 2)),
+        thrice_occurrence_polarity=all(negated[x] == 1 for x in counts if counts[x] == 3),
+    )
+
+
+def random_signed_formula(rng):
+    """2-8 variables, 1-8 clauses of 2 or 3 signed literals over distinct variables."""
+    n = rng.randint(2, 8)
+    clauses = []
+    for _ in range(rng.randint(1, 8)):
+        variables = rng.sample(range(1, n + 1), rng.choice((2, 3)) if n >= 3 else 2)
+        clauses.append([x if rng.random() < 0.6 else -x for x in variables])
+    return CnfFormula.from_ints(n, clauses)
+
+
+def test_check_properties_matches_the_reference():
+    rng = random.Random(9)
+    formulas = [random_signed_formula(rng) for _ in range(1800)]
+    formulas += [
+        split_repeated_variables(generate_instance(seed, 3 + seed % 9, 1 + seed % 12))[0]
+        for seed in range(200)
+    ]
+    seen = set()
+    for f in formulas:
+        report = check_properties(f)
+        assert report == reference_check_properties(f), f
+        flags = {fld.name: getattr(report, fld.name) for fld in fields(report)}
+        assert report.failures() == [name for name, ok in flags.items() if not ok]
+        assert report.all_hold() == all(flags.values())
+        seen.update(flags.items())
+    assert seen == {(fld.name, ok) for fld in fields(PropertyReport) for ok in (True, False)}
 
 
 def test_lift_identity_map():
