@@ -14,17 +14,24 @@ import sys
 from collections import Counter
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
-from .formula import emit_cnf, first_all_equal_clause, nae_satisfies, occurrence_counts, parse_cnf
+from .formula import (
+    emit_cnf,
+    is_monotone_3sat,
+    nae_fault,
+    nae_satisfies,
+    occurrence_counts,
+    parse_cnf,
+)
 from .graphs import (
+    colouring_fault,
+    cut_fault,
     emit_colouring,
     emit_graph,
     enumerate_triangles,
     find_k_colouring,
-    find_monochromatic_triangle,
     max_degree,
     parse_colouring,
     parse_graph,
-    verify_colouring,
 )
 from .reduction import (
     build_graph,
@@ -93,9 +100,8 @@ def cmd_transform(args) -> int:
 
 def cmd_reduce(args) -> int:
     f = parse_cnf(_read(args.cnf))
-    # build_graph rejects a formula that violates the split properties.
-    prepared = f if args.skip_transform else split_repeated_variables(f)[0]
-    g, rm = build_graph(prepared)
+    # Only a monotone formula is split; build_graph checks the split properties.
+    g, rm = build_graph(split_repeated_variables(f)[0] if is_monotone_3sat(f) else f)
     colouring = construct_5_colouring(g, rm)
     print(f"vertices {g.num_vertices}")
     print(f"edges {g.num_edges}")
@@ -151,7 +157,7 @@ def cmd_triangles(args) -> int:
     return 0
 
 
-def _verify_assignment(args) -> int:
+def _assignment_fault(args) -> str | None:
     f = parse_cnf(_read(args.object))
     witness = parse_nae_witness(_read(args.certificate))
     if witness is None:
@@ -161,72 +167,51 @@ def _verify_assignment(args) -> int:
         try:
             project_assignment(tm, witness)
         except ValueError as exc:
-            print(f"invalid: {exc}")
-            return 1
-    i = first_all_equal_clause(f, witness)
-    if i is None:
-        print("valid assignment")
-        return 0
-    lits = " ".join(str(x) for x in f.clauses[i - 1].literals)
-    print(f"invalid: clause {i} ({lits}) has all-equal values")
-    return 1
+            return str(exc)
+    return nae_fault(f, witness)
 
 
-def _verify_cut(args) -> int:
+def _cut_fault(args) -> str | None:
     g = parse_graph(_read(args.object))
     cut = parse_cut_witness(_read(args.certificate), g.num_vertices)
     if cut is None:
         raise FormatError("certificate carries no cut")
-    if not cut.side_a or not cut.side_b:
-        print("invalid: one side of the cut is empty")
-        return 1
-    bad = find_monochromatic_triangle(g, cut)
-    if bad is not None:
-        print(f"invalid: monochromatic triangle {bad[0]} {bad[1]} {bad[2]}")
-        return 1
-    if args.map:
-        rm = parse_reduction_map(_read(args.map))
-        if graph_from_reduction_map(rm) != g:
-            raise FormatError("reduction map does not describe this graph")
-        # Variable x is true iff it is on side A, as in cut_to_assignment, whose
-        # graph rebuild and cut check would repeat work already done: the cut
-        # has passed find_monochromatic_triangle on g, and g is the map's graph.
-        if args.assignment:
-            stated = parse_nae_witness(_read(args.assignment))
-            if stated is None:
-                raise FormatError("assignment certificate carries no assignment")
-            side_a = cut.side_a
-            mismatched = [
-                x for x in range(1, rm.num_variables + 1) if stated.get(x) != (x in side_a)
-            ]
-            if mismatched:
-                print(f"invalid: cut disagrees with assignment on variables {mismatched}")
-                return 1
-    print("valid cut")
-    return 0
+    fault = cut_fault(g, cut)
+    if fault is not None or not args.map:
+        return fault
+    rm = parse_reduction_map(_read(args.map))
+    if graph_from_reduction_map(rm) != g:
+        raise FormatError("reduction map does not describe this graph")
+    if not args.assignment:
+        return None
+    # Variable x is true iff it is on side A, as in cut_to_assignment, whose graph
+    # rebuild and cut check would repeat cut_fault on g, which is the map's graph.
+    stated = parse_nae_witness(_read(args.assignment))
+    if stated is None:
+        raise FormatError("assignment certificate carries no assignment")
+    side_a = cut.side_a
+    mismatched = [x for x in range(1, rm.num_variables + 1) if stated.get(x) != (x in side_a)]
+    return f"cut disagrees with assignment on variables {mismatched}" if mismatched else None
 
 
-def _verify_coloring(args) -> int:
+def _colouring_fault(args) -> str | None:
     g = parse_graph(_read(args.object))
-    colouring = parse_colouring(_read(args.certificate))
-    if verify_colouring(g, colouring):
-        print("valid colouring")
-        return 0
-    colours = colouring.colours
-    for u, v in g.sorted_edges():
-        if u in colours and colours[u] == colours.get(v):
-            print(f"invalid: edge {u} {v} is monochromatic")
-            return 1
-    print("invalid: colouring is partial or uses colours outside 1..k")
-    return 1
+    return colouring_fault(g, parse_colouring(_read(args.certificate)))
+
+
+# Certificate kind -> (the noun a valid certificate is reported as, its fault finder).
+_VERIFIERS = {
+    "assignment": ("assignment", _assignment_fault),
+    "cut": ("cut", _cut_fault),
+    "coloring": ("colouring", _colouring_fault),
+}
 
 
 def cmd_verify(args) -> int:
-    if args.kind == "assignment":
-        return _verify_assignment(args)
-    if args.kind == "cut":
-        return _verify_cut(args)
-    return _verify_coloring(args)
+    noun, find_fault = _VERIFIERS[args.kind]
+    fault = find_fault(args)
+    print(f"valid {noun}" if fault is None else f"invalid: {fault}")
+    return 0 if fault is None else 1
 
 
 def _roundtrip_trial(f, break_gadget: bool) -> list[str]:
@@ -322,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf")
     p.add_argument("-o", "--output")
     p.add_argument("--map")
-    p.add_argument("--skip-transform", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve-nae", help="decide NAE satisfiability exhaustively")
@@ -347,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangles)
 
     p = sub.add_parser("verify", help="check a certificate against its object")
-    p.add_argument("kind", choices=("assignment", "cut", "coloring"))
+    p.add_argument("kind", choices=tuple(_VERIFIERS))
     p.add_argument("object")
     p.add_argument("certificate")
     p.add_argument("--map")

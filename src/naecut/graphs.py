@@ -238,12 +238,23 @@ def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Co
     return Colouring(colours, k)
 
 
+def colouring_fault(g: Graph, c: Colouring) -> str | None:
+    """Name the first monochromatic edge, else a partial or out-of-range colouring; or None."""
+    colours = c.colours
+    for u, row in enumerate(g.adj):
+        cu = colours.get(u)
+        if cu is not None:
+            for v in row:
+                if v > u and colours.get(v) == cu:
+                    return f"edge {u} {v} is monochromatic"
+    if not all(1 <= colours.get(v, 0) <= c.k for v in range(1, g.num_vertices + 1)):
+        return "colouring is partial or uses colours outside 1..k"
+    return None
+
+
 def verify_colouring(g: Graph, c: Colouring) -> bool:
     """True iff c is a total proper colouring of g with colours in 1..k."""
-    colours = c.colours
-    if not all(1 <= colours.get(v, 0) <= c.k for v in range(1, g.num_vertices + 1)):
-        return False
-    return all(colours[u] != colours[v] for u, row in enumerate(g.adj) for v in row if v > u)
+    return colouring_fault(g, c) is None
 
 
 def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | None:
@@ -251,9 +262,17 @@ def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | No
     return next(_triangles(g, cut.side_a), None)
 
 
+def cut_fault(g: Graph, cut: Cut) -> str | None:
+    """Name an empty side, a non-partition or the first monochromatic triangle; or None."""
+    a, b = cut.side_a, cut.side_b
+    if not a or not b:
+        return "one side of the cut is empty"
+    if a & b or a | b != frozenset(range(1, g.num_vertices + 1)):
+        return f"sides do not partition the vertices 1..{g.num_vertices}"
+    bad = find_monochromatic_triangle(g, cut)
+    return None if bad is None else "monochromatic triangle {} {} {}".format(*bad)
+
+
 def verify_cut_triangle_free(g: Graph, cut: Cut) -> bool:
     """True iff cut is a partition of V into two non-empty, triangle-free sides."""
-    a, b = cut.side_a, cut.side_b
-    if not a or not b or a & b or a | b != frozenset(range(1, g.num_vertices + 1)):
-        return False
-    return find_monochromatic_triangle(g, cut) is None
+    return cut_fault(g, cut) is None

@@ -233,21 +233,13 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
     """
     if g.num_vertices != 5:
         raise ValueError("gadget certification expects a graph on 5 vertices")
-    triangles = enumerate_triangles(g)
-    vertices = list(range(1, 6))
-    others = [v for v in vertices if v not in (x, y)]
+    vertices = frozenset(range(1, 6))
+    others = sorted(vertices - {x, y})
 
-    together = True
-    cut_exists = False
-    for bits in itertools.product((False, True), repeat=5):
-        side = dict(zip(vertices, bits))
-        if all(bits) or not any(bits):
-            continue
-        if any(side[u] == side[v] == side[w] for u, v, w in triangles):
-            continue
-        cut_exists = True
-        if side[x] != side[y]:
-            together = False
+    subsets = [frozenset(s) for r in range(6) for s in itertools.combinations(vertices, r)]
+    cut_sides = [a for a in subsets if verify_cut_triangle_free(g, Cut(a, vertices - a))]
+    together = all((x in a) == (y in a) for a in cut_sides)
+    cut_exists = bool(cut_sides)
 
     pairs_extend = True
     for cx in range(1, 6):

@@ -3,6 +3,7 @@ import re
 
 from naecut import (
     CnfFormula,
+    FormatError,
     assignment_to_cut,
     build_graph,
     complete_graph,
@@ -16,10 +17,16 @@ from naecut import (
     emit_transform_map,
     generate_instance,
     lift_assignment,
+    parse_colouring,
+    parse_cnf,
+    parse_cut_witness,
+    parse_graph,
     parse_nae_witness,
     split_repeated_variables,
 )
 from naecut.cli import main
+from naecut.formula import nae_fault
+from naecut.graphs import colouring_fault, cut_fault
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
 SPLIT_CNF = "p cnf 5 2\n1 2 3 0\n1 4 5 0\n"
@@ -96,16 +103,17 @@ def test_reduce_bounds_over_random_instances(tmp_path, capsys):
 
 
 def test_reduce_skip_transform_requires_properties(tmp_path, capsys):
+    # A non-monotone input is not split, so it must already have the split properties.
     src = tmp_path / "in.cnf"
-    src.write_text("p cnf 4 2\n1 2 3 0\n1 2 4 0\n")
-    code, _ = run(capsys, "reduce", str(src), "--skip-transform")
+    src.write_text("p cnf 4 2\n1 2 3 0\n1 -4 0\n")
+    code, _ = run(capsys, "reduce", str(src))
     assert code == 2
 
 
 def test_reduce_skip_transform_accepts_split_input(tmp_path, capsys):
     src = tmp_path / "in.cnf"
     src.write_text("p cnf 6 3\n1 2 3 0\n6 4 5 0\n1 -6 0\n")
-    code, out = run(capsys, "reduce", str(src), "--skip-transform")
+    code, out = run(capsys, "reduce", str(src))
     assert code == 0
     assert "vertices 9" in out
 
@@ -277,8 +285,7 @@ def test_verify_cut_cross_checks_assignment_via_map(tmp_path, capsys):
     map_file = tmp_path / "rmap.txt"
     assert run(capsys, "transform", str(src), "-o", str(cnf2))[0] == 0
     assert run(
-        capsys, "reduce", str(cnf2), "--skip-transform",
-        "-o", str(graph_file), "--map", str(map_file),
+        capsys, "reduce", str(cnf2), "-o", str(graph_file), "--map", str(map_file),
     )[0] == 0
     wit_file = tmp_path / "wit.txt"
     assert run(capsys, "solve-nae", str(cnf2), "-o", str(wit_file))[0] == 0
@@ -345,6 +352,68 @@ def test_verify_coloring(tmp_path, capsys):
     )
 
 
+def test_verify_assignment_through_the_transform_map(tmp_path, capsys):
+    src = tmp_path / "in.cnf"
+    src.write_text(SPLIT_CNF)
+    split = tmp_path / "split.cnf"
+    map_file = tmp_path / "tmap.txt"
+    assert run(capsys, "transform", str(src), "-o", str(split), "--map", str(map_file))[0] == 0
+    wit = tmp_path / "wit.txt"
+    wit.write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 -6 0\n")
+    argv = ("verify", "assignment", str(split), str(wit), "--map", str(map_file))
+    assert run(capsys, *argv) == (0, "valid assignment\n")
+    # Variable 1 and its copy 6 disagree: the chain is named before any clause.
+    wit.write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 6 0\n")
+    assert run(capsys, *argv) == (
+        1,
+        "invalid: equality chain violated: copies of variable 1 disagree\n",
+    )
+
+
+def test_verify_rejects_certificates_that_carry_no_witness(tmp_path, capsys):
+    src = tmp_path / "f.cnf"
+    src.write_text(K3_CNF)
+    unsat = tmp_path / "unsat.txt"
+    unsat.write_text("s NAE-UNSATISFIABLE\n")
+    assert main(["verify", "assignment", str(src), str(unsat)]) == 2
+    assert capsys.readouterr().err == "error: certificate carries no assignment\n"
+    graph = tmp_path / "k3.graph"
+    graph.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    no_cut = tmp_path / "nocut.txt"
+    no_cut.write_text("s NO-CUT\n")
+    assert main(["verify", "cut", str(graph), str(no_cut)]) == 2
+    assert capsys.readouterr().err == "error: certificate carries no cut\n"
+    # A cross-check against an assignment that is not there is a format error too.
+    rmap = tmp_path / "k3.rmap"
+    assert run(capsys, "reduce", str(src), "-o", str(graph), "--map", str(rmap))[0] == 0
+    cut = tmp_path / "cut.txt"
+    cut.write_text("s CUT-FOUND\nv 3 0\n")
+    argv = ["verify", "cut", str(graph), str(cut), "--map", str(rmap), "--assignment", str(unsat)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: assignment certificate carries no assignment\n")
+
+
+def test_color_writes_the_certificate(tmp_path, capsys):
+    k3 = tmp_path / "k3.graph"
+    k3.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    cert = tmp_path / "c.txt"
+    code, out = run(capsys, "color", str(k3), "-k", "3", "-o", str(cert))
+    assert code == 0
+    assert cert.read_text() == "k 3\n1 1\n2 2\n3 3\n"
+    assert out == "s COLOURING-FOUND\n" + cert.read_text()
+
+
+def test_budget_variable_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NAE_REDUCE_BUDGET", "abc")
+    src = tmp_path / "in.cnf"
+    src.write_text(K3_CNF)
+    assert main(["solve-nae", str(src)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: NAE_REDUCE_BUDGET must be a positive integer, got 'abc'\n",
+    )
+
+
 def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     src = tmp_path / "f.cnf"
     src.write_text(K3_CNF)
@@ -367,6 +436,11 @@ def test_roundtrip_zero_trials(capsys):
     code, out = run(capsys, "roundtrip", "--seed", "1", "-n", "5", "-m", "3", "--trials", "0")
     assert code == 0
     assert "trials 0 passed 0 failed 0" in out
+
+
+def test_roundtrip_rejects_a_negative_trial_count(capsys):
+    assert main(["roundtrip", "-n", "5", "-m", "3", "--trials", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: trial count must be non-negative\n")
 
 
 def test_roundtrip_break_gadget_detects_failures(capsys):
@@ -545,3 +619,50 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err and "internal error" not in err, f"{where}: {err[-300:]!r}"
         codes.add(code)
     assert codes >= {0, 1, 2, 3}
+
+
+def _library_fault(kind, obj, cert):
+    """The fault the library names for a certificate, as `verify` must print it."""
+    if kind == "assignment":
+        witness = parse_nae_witness(cert)
+        if witness is None:
+            raise FormatError("certificate carries no assignment")
+        return nae_fault(parse_cnf(obj), witness)
+    g = parse_graph(obj)
+    if kind == "coloring":
+        return colouring_fault(g, parse_colouring(cert))
+    cut = parse_cut_witness(cert, g.num_vertices)
+    if cut is None:
+        raise FormatError("certificate carries no cut")
+    return cut_fault(g, cut)
+
+
+def test_verify_prints_the_library_fault(tmp_path, capsys):
+    # On mutated certificates `verify` prints exactly `valid <kind>` or
+    # `invalid: ` and the library's fault, so it keeps no rule of its own.
+    files = _planted_inputs(5, 6)
+    kinds = {"assignment": ("split", "wit_split"), "cut": ("graph", "cut"), "coloring": ("graph", "col")}
+    nouns = {"assignment": "assignment", "cut": "cut", "coloring": "colouring"}
+    rng = random.Random(5)
+    codes = set()
+    for trial in range(200):
+        kind = rng.choice(sorted(kinds))
+        obj, cert = kinds[kind]
+        data = files[cert] if trial < 3 else _mutate(files[cert], rng)
+        if kind == "assignment" and rng.random() < 0.5:
+            # A flipped literal keeps the certificate well formed but may break a clause.
+            t = rng.choice(list(re.finditer(rb"-?[1-9]\d*", files[cert])))
+            flipped = str(-int(t.group())).encode()
+            data = files[cert][: t.start()] + flipped + files[cert][t.end():]
+        (tmp_path / obj).write_bytes(files[obj])
+        (tmp_path / cert).write_bytes(data)
+        code, out = run(capsys, "verify", kind, str(tmp_path / obj), str(tmp_path / cert))
+        try:
+            fault = _library_fault(kind, files[obj].decode(), data.decode())
+        except ValueError:  # FormatError included: the CLI reports it as exit 2
+            assert (code, out) == (2, ""), f"trial {trial}: {kind} {data!r}"
+        else:
+            expected = (0, f"valid {nouns[kind]}\n") if fault is None else (1, f"invalid: {fault}\n")
+            assert (code, out) == expected, f"trial {trial}: {kind} {data!r}"
+        codes.add((kind, code))
+    assert codes == {(kind, code) for kind in kinds for code in (0, 1, 2)}

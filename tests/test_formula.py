@@ -17,7 +17,7 @@ from naecut import (
     parse_cnf,
     split_repeated_variables,
 )
-from naecut.formula import first_all_equal_clause
+from naecut.formula import nae_fault
 
 
 def test_parse_smallest_monotone_instance():
@@ -123,7 +123,7 @@ def test_nae_requires_total_assignment():
         nae_satisfies(f, {1: True, 2: False})
 
 
-def test_first_all_equal_clause_matches_a_naive_scan():
+def test_nae_fault_matches_a_naive_scan():
     rng = random.Random(3)
     found = set()
     for _ in range(600):
@@ -135,14 +135,14 @@ def test_first_all_equal_clause_matches_a_naive_scan():
         naive = None
         for i, lits in enumerate(clauses, start=1):
             if len({a[abs(x)] == (x > 0) for x in lits}) == 1:
-                naive = i
+                naive = f"clause {i} ({' '.join(map(str, lits))}) has all-equal values"
                 break
-        assert first_all_equal_clause(f, a) == naive
+        assert nae_fault(f, a) == naive
         assert nae_satisfies(f, a) == (naive is None)
         found.add(naive is None)
         del a[n]
         with pytest.raises(ValueError, match=f"missing variable {n}"):
-            first_all_equal_clause(f, a)
+            nae_fault(f, a)
     assert found == {True, False}
 
 

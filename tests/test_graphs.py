@@ -30,6 +30,7 @@ from naecut import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+from naecut.graphs import colouring_fault, cut_fault
 
 
 def naive_triangles(g):
@@ -212,12 +213,54 @@ def test_monochromatic_triangle_matches_naive_scan():
         cut = assignment_to_cut(split, rm, lift_assignment(tm, planted))
         flips = [Cut(cut.side_a ^ {v}, cut.side_b ^ {v}) for v in range(1, g.num_vertices + 1)]
         cases.append((g, [cut, *flips]))
+    found = set()
     for g, cuts in cases:
         triangles = naive_triangles(g)
         for cut in cuts:
             expected = next((t for t in triangles if len({v in cut.side_a for v in t}) == 1), None)
             assert find_monochromatic_triangle(g, cut) == expected
             assert find_monochromatic_triangle(g, cut.swapped()) == expected
+            # cut_fault names an empty side first, then the first monochromatic triangle.
+            if not cut.side_a or not cut.side_b:
+                fault = "one side of the cut is empty"
+            elif expected is not None:
+                fault = f"monochromatic triangle {expected[0]} {expected[1]} {expected[2]}"
+            else:
+                fault = None
+            assert cut_fault(g, cut) == cut_fault(g, cut.swapped()) == fault
+            found.add(fault and fault.split()[0])
+            if cut.side_a and len(cut.side_b) > 1:
+                v = min(cut.side_b)
+                not_a_partition = f"sides do not partition the vertices 1..{g.num_vertices}"
+                assert cut_fault(g, Cut(cut.side_a, cut.side_b - {v})) == not_a_partition
+                assert cut_fault(g, Cut(cut.side_a | {v}, cut.side_b)) == not_a_partition
+    assert found == {None, "one", "monochromatic"}
+
+
+def test_colouring_fault_matches_a_naive_scan():
+    found = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = 2 + seed % 9
+        g = random_graph(seed, n, p=rng.choice((0.2, 0.4, 0.7)))
+        k = rng.randint(2, 4)
+        # Mostly colours in 1..k; sometimes a vertex is left out or gets k + 1.
+        colours = {}
+        for v in range(1, n + 1):
+            if rng.random() < 0.9:
+                colours[v] = rng.randint(1, k) if rng.random() < 0.9 else k + 1
+        c = Colouring(colours, k)
+        expected = next(
+            (f"edge {u} {v} is monochromatic" for u, v in sorted(g.edges)
+             if u in colours and colours[u] == colours.get(v)),
+            None,
+        )
+        if expected is None and any(colours.get(v) not in range(1, k + 1) for v in range(1, n + 1)):
+            expected = "colouring is partial or uses colours outside 1..k"
+        assert colouring_fault(g, c) == expected
+        assert verify_colouring(g, c) == (expected is None)
+        found.add(expected and expected.split()[0])
+    assert found == {None, "edge", "colouring"}
 
 
 def test_max_degree():

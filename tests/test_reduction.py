@@ -255,6 +255,16 @@ def test_assignment_to_cut_rejects_non_witness():
         assignment_to_cut(f, rm, {1: True, 2: True, 3: True})
 
 
+def test_assignment_to_cut_rejects_a_one_sided_cut():
+    # Without clauses every assignment is a witness, but a constant one cuts nothing.
+    f = CnfFormula(3)
+    _, rm = build_graph(f)
+    with pytest.raises(ValueError, match="^assignment sends every vertex to one side; "):
+        assignment_to_cut(f, rm, {1: True, 2: True, 3: True})
+    cut = assignment_to_cut(f, rm, {1: True, 2: False, 3: True})
+    assert cut == Cut(frozenset({1, 3}), frozenset({2}))
+
+
 def test_assignment_to_cut_property_sweep():
     checked = 0
     for seed in range(200):
@@ -359,6 +369,11 @@ def test_cut_from_vertex_assignment_rebalances():
     assert verify_cut_triangle_free(g, cut)
     with pytest.raises(ValueError):
         cut_from_vertex_assignment(complete_graph(3), {1: True, 2: True, 3: True})
+    with pytest.raises(ValueError, match="^a cut needs at least two vertices$"):
+        cut_from_vertex_assignment(Graph(1), {1: True})
+    k3_and_lone_vertex = Graph(4, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="^assignment leaves a monochromatic triangle$"):
+        cut_from_vertex_assignment(k3_and_lone_vertex, {1: True, 2: True, 3: True, 4: False})
 
 
 def test_gadget_certificate_passes():

@@ -145,6 +145,25 @@ def test_nae_agrees_with_enumeration_oracle():
         assert brute_force_nae(f) == naive_nae_smallest(f)
 
 
+def test_engine_activity_rescale_keeps_the_witness():
+    # Starting the activity increment at the rescale threshold makes the
+    # first conflict rescale every activity; the witnesses must not change.
+    from naecut.solvers import _NaeEngine
+
+    formulas = [random_signed_formula(seed) for seed in range(200)]
+    # Few small formulas reach a conflict above level 0, where the rescale runs.
+    formulas += [generate_instance(seed, 12, 30) for seed in range(40)]
+    rescaled = 0
+    for f in formulas:
+        engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
+        engine.inc = 1e100
+        result = engine.solve(2**30)
+        got = None if result is None else {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
+        assert got == brute_force_nae(f)
+        rescaled += engine.inc < 1e100
+    assert rescaled >= 50
+
+
 def test_nae_budget_precheck_and_distinction():
     f = CnfFormula.from_ints(6, [[1, 2, 3]])
     with pytest.raises(BudgetExceeded):
