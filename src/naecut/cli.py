@@ -21,6 +21,7 @@ from .formula import (
     nae_satisfies,
     occurrence_counts,
     parse_cnf,
+    require_variables,
 )
 from .graphs import (
     colouring_fault,
@@ -164,6 +165,8 @@ def _assignment_fault(args) -> str | None:
         raise FormatError("certificate carries no assignment")
     if args.map:
         tm = parse_transform_map(_read(args.map))
+        # A missing variable is a witness that does not fit (exit 2), not a broken chain.
+        require_variables(witness, range(1, f.num_vars + 1))
         try:
             project_assignment(tm, witness)
         except ValueError as exc:
@@ -189,8 +192,10 @@ def _cut_fault(args) -> str | None:
     stated = parse_nae_witness(_read(args.assignment))
     if stated is None:
         raise FormatError("assignment certificate carries no assignment")
+    variables = range(1, rm.num_variables + 1)
+    require_variables(stated, variables)
     side_a = cut.side_a
-    mismatched = [x for x in range(1, rm.num_variables + 1) if stated.get(x) != (x in side_a)]
+    mismatched = [x for x in variables if stated[x] != (x in side_a)]
     return f"cut disagrees with assignment on variables {mismatched}" if mismatched else None
 
 

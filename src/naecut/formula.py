@@ -115,11 +115,16 @@ def is_monotone_3sat(f: CnfFormula) -> bool:
     )
 
 
-def nae_fault(f: CnfFormula, assignment: Assignment) -> str | None:
-    """Name the first clause whose literals all take one value, or None."""
-    for x in range(1, f.num_vars + 1):
+def require_variables(assignment: Assignment, variables) -> None:
+    """Raise ValueError naming the first of `variables` the assignment lacks."""
+    for x in variables:
         if x not in assignment:
             raise ValueError(f"assignment is missing variable {x}")
+
+
+def nae_fault(f: CnfFormula, assignment: Assignment) -> str | None:
+    """Name the first clause whose literals all take one value, or None."""
+    require_variables(assignment, range(1, f.num_vars + 1))
     for i, clause in enumerate(f.clauses, start=1):
         values = [assignment[abs(x)] == (x > 0) for x in clause.literals]
         if all(values) or not any(values):

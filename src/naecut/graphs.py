@@ -17,8 +17,8 @@ class Graph:
     """Undirected simple graph on vertices 1..num_vertices, immutable.
 
     `adj` is a list: `adj[v]` is the sorted tuple of v's neighbours and `adj[0]`
-    is empty, so `adj.values()` and set operators such as `&` do not apply.  It
-    is the only stored edge data; the frozenset `edges` is rebuilt from it.
+    is empty.  It is the only stored edge data; the frozenset `edges` is
+    rebuilt from it.
     """
 
     __slots__ = ("num_vertices", "adj")
@@ -81,6 +81,12 @@ class Cut:
 
     side_a: frozenset[int]
     side_b: frozenset[int]
+
+    @staticmethod
+    def from_side_a(side_a, num_vertices: int) -> "Cut":
+        """The cut with the given side A; side B is the rest of 1..num_vertices."""
+        side_a = frozenset(side_a)
+        return Cut(side_a, frozenset(range(1, num_vertices + 1)) - side_a)
 
     def swapped(self) -> "Cut":
         return Cut(self.side_b, self.side_a)

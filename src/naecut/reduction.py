@@ -24,7 +24,7 @@ from .graphs import (
     verify_colouring,
     verify_cut_triangle_free,
 )
-from .textio import ints, records
+from .textio import MAX_COUNT, ints, records
 from .transform import check_properties
 
 
@@ -135,24 +135,18 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
     """
     if not nae_satisfies(f, assignment):
         raise ValueError("assignment does not NAE-satisfy the formula")
-    side_a: set[int] = set()
-    side_b: set[int] = set()
-    for x in range(1, rm.num_variables + 1):
-        (side_a if assignment[x] else side_b).add(x)
-    for ci in sorted(rm.clause_gadget):
-        gadget = rm.clause_gadget[ci]
+    side_a = {x for x in range(1, rm.num_variables + 1) if assignment[x]}
+    for gadget in rm.clause_gadget.values():
         if gadget.x in side_a:
             side_a.add(gadget.a)
-            side_b.update((gadget.b, gadget.c))
         else:
-            side_b.add(gadget.a)
             side_a.update((gadget.b, gadget.c))
-    if not side_a or not side_b:
+    cut = Cut.from_side_a(side_a, rm.num_vertices)
+    if not cut.side_a or not cut.side_b:
         raise ValueError(
             "assignment sends every vertex to one side; "
             "a formula without 3-clauses has no induced cut"
         )
-    cut = Cut(frozenset(side_a), frozenset(side_b))
     if not verify_cut_triangle_free(graph_from_reduction_map(rm), cut):
         raise AssertionError("induced cut is not triangle-free; reduction structure broken")
     return cut
@@ -185,20 +179,13 @@ def cut_from_vertex_assignment(g: Graph, assignment: Assignment) -> Cut:
     if n < 2:
         raise ValueError("a cut needs at least two vertices")
     side_a = {v for v in range(1, n + 1) if assignment[v]}
-    side_b = {v for v in range(1, n + 1) if not assignment[v]}
-    if not side_a or not side_b:
+    if len(side_a) in (0, n):
         covered = {v for tri in enumerate_triangles(g) for v in tri}
         movable = [v for v in range(1, n + 1) if v not in covered]
         if not movable:
             raise ValueError("every vertex lies in a triangle; cannot rebalance the empty side")
-        v = min(movable)
-        if side_a:
-            side_a.discard(v)
-            side_b.add(v)
-        else:
-            side_b.discard(v)
-            side_a.add(v)
-    cut = Cut(frozenset(side_a), frozenset(side_b))
+        side_a ^= {min(movable)}
+    cut = Cut.from_side_a(side_a, n)
     if not verify_cut_triangle_free(g, cut):
         raise ValueError("assignment leaves a monochromatic triangle")
     return cut
@@ -237,23 +224,18 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
     others = sorted(vertices - {x, y})
 
     subsets = [frozenset(s) for r in range(6) for s in itertools.combinations(vertices, r)]
-    cut_sides = [a for a in subsets if verify_cut_triangle_free(g, Cut(a, vertices - a))]
+    cut_sides = [a for a in subsets if verify_cut_triangle_free(g, Cut.from_side_a(a, 5))]
     together = all((x in a) == (y in a) for a in cut_sides)
     cut_exists = bool(cut_sides)
 
-    pairs_extend = True
-    for cx in range(1, 6):
-        for cy in range(1, 6):
-            found = False
-            for combo in itertools.product(range(1, 6), repeat=len(others)):
-                colours = dict(zip(others, combo))
-                colours[x] = cx
-                colours[y] = cy
-                if verify_colouring(g, Colouring(colours, 5)):
-                    found = True
-                    break
-            if not found:
-                pairs_extend = False
+    pairs_extend = all(
+        any(
+            verify_colouring(g, Colouring({**dict(zip(others, combo)), x: cx, y: cy}, 5))
+            for combo in itertools.product(range(1, 6), repeat=len(others))
+        )
+        for cx in range(1, 6)
+        for cy in range(1, 6)
+    )
 
     endpoints_ok = (
         not g.has_edge(x, y) and g.degree(x) == 3 and g.degree(y) == 3
@@ -313,9 +295,12 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
     ids = [n]
     ids += [v for tri in clause_triangle.values() for v in tri]
     ids += [v for gadget in clause_gadget.values() for v in gadget.vertices()]
+    num_vertices = max(ids)
+    if num_vertices > MAX_COUNT:
+        raise FormatError(f"vertex id {num_vertices} exceeds the limit of {MAX_COUNT}")
     return ReductionMap(
         num_variables=n,
-        num_vertices=max(ids),
+        num_vertices=num_vertices,
         clause_triangle=clause_triangle,
         clause_gadget=clause_gadget,
     )

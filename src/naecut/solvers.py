@@ -351,7 +351,7 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
             f"{budget.max_states} states"
         )
     if f.num_vars == 0:
-        return {} if not f.clauses else None
+        return {}
     engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
     result = engine.solve(budget.max_states)
     if result is None:
@@ -382,13 +382,11 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
         )
     triangles = enumerate_triangles(g)
     if not triangles:
-        return Cut(frozenset({n}), frozenset(range(1, n)))
+        return Cut.from_side_a({n}, n)
     result = _NaeEngine(n, triangles).solve(budget.max_states)
     if result is None:
         return None
-    side_a = frozenset(v for v in range(1, n + 1) if result[v])
-    side_b = frozenset(v for v in range(1, n + 1) if not result[v])
-    cut = Cut(side_a, side_b)
+    cut = Cut.from_side_a((v for v in range(1, n + 1) if result[v]), n)
     if not verify_cut_triangle_free(g, cut):
         raise AssertionError("search returned an invalid cut")
     return cut
@@ -538,8 +536,4 @@ def parse_cut_witness(text: str | bytes, num_vertices: int) -> Cut | None:
     for v in ids:
         if not (1 <= v <= num_vertices):
             raise FormatError(f"vertex {v} out of range 1..{num_vertices}")
-    if not found:
-        return None
-    side_a = frozenset(ids)
-    side_b = frozenset(v for v in range(1, num_vertices + 1) if v not in side_a)
-    return Cut(side_a, side_b)
+    return Cut.from_side_a(ids, num_vertices) if found else None

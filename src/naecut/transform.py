@@ -19,6 +19,7 @@ from .formula import (
     CnfFormula,
     is_monotone_3sat,
     occurrence_counts,
+    require_variables,
 )
 from .textio import ints, lines
 
@@ -151,13 +152,9 @@ def check_properties(f: CnfFormula) -> PropertyReport:
 
 def lift_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     """Extend an assignment of the original formula to all copies."""
-    out: Assignment = {}
-    for x in range(1, tm.num_original_vars + 1):
-        if x not in assignment:
-            raise ValueError(f"assignment is missing variable {x}")
-        for y in tm.replacements[x]:
-            out[y] = assignment[x]
-    return out
+    originals = range(1, tm.num_original_vars + 1)
+    require_variables(assignment, originals)
+    return {y: assignment[x] for x in originals for y in tm.replacements[x]}
 
 
 def project_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
@@ -167,13 +164,11 @@ def project_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     list means the equality chain is violated and the assignment is not a
     valid witness for the split formula.
     """
+    originals = range(1, tm.num_original_vars + 1)
+    require_variables(assignment, (y for x in originals for y in tm.replacements[x]))
     out: Assignment = {}
-    for x in range(1, tm.num_original_vars + 1):
-        values = set()
-        for y in tm.replacements[x]:
-            if y not in assignment:
-                raise ValueError(f"assignment is missing variable {y}")
-            values.add(assignment[y])
+    for x in originals:
+        values = {assignment[y] for y in tm.replacements[x]}
         if len(values) != 1:
             raise ValueError(
                 f"equality chain violated: copies of variable {x} disagree"

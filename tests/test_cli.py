@@ -1,11 +1,19 @@
 import random
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import naecut
 from naecut import (
     CnfFormula,
     FormatError,
     assignment_to_cut,
     build_graph,
+    canonical_gadget,
     complete_graph,
     construct_5_colouring,
     emit_cnf,
@@ -27,6 +35,7 @@ from naecut import (
 from naecut.cli import main
 from naecut.formula import nae_fault
 from naecut.graphs import colouring_fault, cut_fault
+from naecut.textio import MAX_COUNT
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
 SPLIT_CNF = "p cnf 5 2\n1 2 3 0\n1 4 5 0\n"
@@ -102,7 +111,7 @@ def test_reduce_bounds_over_random_instances(tmp_path, capsys):
         assert int(re.search(r"colours (\d+)", out).group(1)) <= 5
 
 
-def test_reduce_skip_transform_requires_properties(tmp_path, capsys):
+def test_reduce_non_monotone_input_requires_properties(tmp_path, capsys):
     # A non-monotone input is not split, so it must already have the split properties.
     src = tmp_path / "in.cnf"
     src.write_text("p cnf 4 2\n1 2 3 0\n1 -4 0\n")
@@ -110,7 +119,7 @@ def test_reduce_skip_transform_requires_properties(tmp_path, capsys):
     assert code == 2
 
 
-def test_reduce_skip_transform_accepts_split_input(tmp_path, capsys):
+def test_reduce_accepts_split_input(tmp_path, capsys):
     src = tmp_path / "in.cnf"
     src.write_text("p cnf 6 3\n1 2 3 0\n6 4 5 0\n1 -6 0\n")
     code, out = run(capsys, "reduce", str(src))
@@ -296,6 +305,9 @@ def test_verify_cut_cross_checks_assignment_via_map(tmp_path, capsys):
         "--map", str(map_file), "--assignment", str(wit_file),
     )
     assert code == 0
+    # Without --assignment the map is only checked to describe the graph.
+    argv = ("verify", "cut", str(graph_file), str(cut_file), "--map", str(map_file))
+    assert run(capsys, *argv) == (0, "valid cut\n")
 
     # The map of another formula's graph is a format error.
     k3 = tmp_path / "k3.cnf"
@@ -471,6 +483,79 @@ def test_exit_code_2_on_missing_file(capsys):
     assert run(capsys, "solve-nae", "/nonexistent/x.cnf")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "assignment", "split.cnf", "wit.txt"],
+        ["verify", "assignment", "split.cnf", "wit.txt", "--map", "tmap.txt"],
+        ["verify", "cut", "g.graph", "cut.txt", "--map", "rmap.txt", "--assignment", "wit.txt"],
+    ],
+    ids=["assignment", "assignment --map", "cut --map --assignment"],
+)
+def test_witness_missing_a_variable_is_exit_2_on_every_path(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.cnf").write_text(SPLIT_CNF)
+    assert run(capsys, "transform", "in.cnf", "-o", "split.cnf", "--map", "tmap.txt")[0] == 0
+    assert run(capsys, "reduce", "split.cnf", "-o", "g.graph", "--map", "rmap.txt")[0] == 0
+    assert run(capsys, "solve-cut", "g.graph", "-o", "cut.txt")[0] == 0
+    # A witness of the original formula: it lacks variable 6, the split copy of variable 1.
+    (tmp_path / "wit.txt").write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 0\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: assignment is missing variable 6\n")
+
+
+def _run_process(argv, cwd, address_space=None):
+    """Run `python -S -m naecut.cli` as a script would: no site-packages, naecut from source."""
+    env = {"PYTHONPATH": str(Path(naecut.__file__).parents[1])}
+    cap = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    )
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "naecut.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+
+
+def test_the_process_exit_code_is_the_verdict(tmp_path):
+    # Under -S only the standard library is importable, so this also pins that
+    # naecut needs nothing else.
+    (tmp_path / "in.cnf").write_text(K3_CNF)
+    (tmp_path / "bad.txt").write_text("s NAE-SATISFIABLE\nv 1 2 3 0\n")
+    done = _run_process(["solve-nae", "in.cnf"], tmp_path)
+    assert (done.returncode, done.stdout) == (0, "s NAE-SATISFIABLE\nv -1 -2 3 0\n")
+    done = _run_process(["verify", "assignment", "in.cnf", "bad.txt"], tmp_path)
+    assert (done.returncode, done.stdout) == (1, "invalid: clause 1 (1 2 3) has all-equal values\n")
+    done = _run_process(["solve-nae", "missing.cnf"], tmp_path)
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["triangles", "big.graph"], {"big.graph": f"p edge {MAX_COUNT + 1} 0\n"},
+         f"header count {MAX_COUNT + 1}"),
+        (["transform", "big.cnf"], {"big.cnf": f"p cnf {MAX_COUNT + 1} 1\n1 2 3 0\n"},
+         f"header count {MAX_COUNT + 1}"),
+        (
+            ["verify", "cut", "gadget.graph", "cut.txt", "--map", "big.rmap"],
+            {
+                "gadget.graph": emit_graph(canonical_gadget()[0]),
+                "cut.txt": "s CUT-FOUND\nv 1 2 3 0\n",
+                "big.rmap": f"var 1 1\nvar 2 2\ngad 1 1 2 3 4 {MAX_COUNT + 1}\n",
+            },
+            f"vertex id {MAX_COUNT + 1}",
+        ),
+    ],
+    ids=["graph header", "cnf header", "reduction map id"],
+)
+def test_input_over_the_size_limit_is_exit_2_in_bounded_memory(tmp_path, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    done = _run_process(argv, tmp_path, address_space=600_000 * 1024)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message} exceeds the limit of {MAX_COUNT}\n"
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     src = tmp_path / "in.cnf"
     src.write_text(SPLIT_CNF)
@@ -539,9 +624,7 @@ _SHAPES = {
 }
 
 _EDIT_BYTES = b"0123456789 -\n\rcpekvs\xff"
-# Small values only: a huge header count makes the parsers allocate storage
-# for that many vertices or variables before they read another line.
-_EDIT_TOKENS = (b"0", b"-1", b"1", b"2", b"3", b"x", b"")
+_EDIT_TOKENS = (b"0", b"-1", b"1", b"2", b"3", b"x", b"", str(MAX_COUNT + 1).encode(), b"100000000")
 
 
 def _mutate(data: bytes, rng: random.Random) -> bytes:

@@ -181,6 +181,8 @@ def test_incidence_rejects_non_monotone_input():
     f = CnfFormula.from_ints(2, [[1, -2]])
     with pytest.raises(ValueError):
         incidence_graph(f, "A")
+    with pytest.raises(ValueError, match="^variant must be 'A' or 'B', got 'C'$"):
+        incidence_graph(CnfFormula.from_ints(3, [[1, 2, 3]]), "C")
 
 
 def test_incidence_edge_bound_and_clause_triangles():

@@ -286,6 +286,8 @@ def test_colouring_complete_graph_boundaries():
 def test_colouring_budget_is_a_loud_failure():
     with pytest.raises(BudgetExceeded):
         find_k_colouring(complete_graph(8), 7, SearchBudget(max_states=10))
+    with pytest.raises(ValueError, match="^colour count must be at least 1$"):
+        find_k_colouring(complete_graph(1), 0)
 
 
 def test_verify_colouring():

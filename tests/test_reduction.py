@@ -392,3 +392,5 @@ def test_gadget_certificate_mutations():
     assert not gadget_certify(with_xy, gadget.x, gadget.y).endpoints_nonadjacent_degree_three
     without_ab = g.without_edge(gadget.a, gadget.b)
     assert not gadget_certify(without_ab, gadget.x, gadget.y).endpoints_together_in_every_cut
+    with pytest.raises(ValueError, match="expects a graph on 5 vertices"):
+        gadget_certify(complete_graph(4), 1, 2)

@@ -477,6 +477,8 @@ def test_assignment_from_4colouring_rejects_five_colours():
         assignment_from_4colouring(f, Colouring({1: 1, 2: 2, 3: 5}, 5))
     with pytest.raises(ValueError):
         assignment_from_4colouring(f, Colouring({1: 1, 2: 1, 3: 2}, 4))
+    with pytest.raises(ValueError, match="requires monotone 3-SAT input"):
+        assignment_from_4colouring(CnfFormula.from_ints(2, [[1, -2]]), Colouring({1: 1, 2: 2}, 2))
 
 
 def test_assignment_from_4colouring_property_sweep():
@@ -523,6 +525,8 @@ def test_cut_from_4colouring_rebalances_empty_side():
 def test_cut_from_4colouring_rejects_improper():
     with pytest.raises(ValueError):
         cut_from_4colouring(complete_graph(3), Colouring({1: 1, 2: 1, 3: 2}, 4))
+    with pytest.raises(ValueError, match="^expected at most 4 colours, got 5$"):
+        cut_from_4colouring(complete_graph(3), Colouring({1: 1, 2: 2, 3: 3}, 5))
 
 
 def test_generator_single_possible_clause():
@@ -550,6 +554,13 @@ def test_generator_distinct_pairs_infeasible():
     # 3 variables admit a single pairwise-distinct clause.
     with pytest.raises(ValueError):
         generate_instance(1, 3, 2, distinct_pairs=True)
+
+
+def test_generator_rejects_impossible_sizes():
+    with pytest.raises(ValueError, match="^need at least three variables$"):
+        generate_instance(1, 2, 1)
+    with pytest.raises(ValueError, match="^clause count must be non-negative$"):
+        generate_instance(1, 3, -1)
 
 
 def test_generator_feeds_the_pipeline():
