@@ -55,7 +55,9 @@ from .solvers import (
     parse_nae_witness,
     randbelow,
 )
+from .textio import MAX_COUNT
 from .transform import (
+    chain_fault,
     check_properties,
     emit_transform_map,
     lift_assignment,
@@ -165,12 +167,14 @@ def _assignment_fault(args) -> str | None:
         raise FormatError("certificate carries no assignment")
     if args.map:
         tm = parse_transform_map(_read(args.map))
+        variables = range(1, f.num_vars + 1)
+        if {y for copies in tm.replacements.values() for y in copies} != set(variables):
+            raise FormatError("transform map does not describe this formula")
         # A missing variable is a witness that does not fit (exit 2), not a broken chain.
-        require_variables(witness, range(1, f.num_vars + 1))
-        try:
-            project_assignment(tm, witness)
-        except ValueError as exc:
-            return str(exc)
+        require_variables(witness, variables)
+        fault = chain_fault(tm, witness)
+        if fault is not None:
+            return fault
     return nae_fault(f, witness)
 
 
@@ -278,6 +282,9 @@ def cmd_roundtrip(args) -> int:
         raise FormatError("trial count must be non-negative")
     if args.trials > 0 and (args.num_vars < 3 or args.num_clauses < 1):
         raise FormatError("need at least 3 variables and 1 clause")
+    count = max(args.num_vars, args.num_clauses)
+    if count > MAX_COUNT:
+        raise FormatError(f"roundtrip count {count} exceeds the limit of {MAX_COUNT}")
     rng = random.Random(args.seed)
     failed = 0
     for t in range(args.trials):
@@ -365,10 +372,16 @@ def main(argv=None) -> int:
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # Reported below: until this block ends, the exception's traceback keeps
+        # the failed call's frames, and their data, alive.
+        pass
     except Exception as exc:
         # A crash is not an answer: exit 1 is reserved for a real "no".
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    print("error: internal error: MemoryError", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

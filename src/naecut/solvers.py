@@ -468,21 +468,18 @@ def generate_instance(
                 v = randbelow(rng, num_vars) + 1
                 if v not in chosen:
                     chosen.append(v)
-            triple = tuple(sorted(chosen))
-            pairs = [
-                (triple[0], triple[1]),
-                (triple[0], triple[2]),
-                (triple[1], triple[2]),
-            ]
-            if distinct_pairs and any(p in used_pairs for p in pairs):
-                continue
-            break
+            a, b, c = sorted(chosen)
+            if not distinct_pairs:
+                break
+            pairs = {(a, b), (a, c), (b, c)}
+            if used_pairs.isdisjoint(pairs):
+                used_pairs |= pairs
+                break
         else:
             raise ValueError(
                 f"could not place clause {ci + 1} without repeating a variable pair"
             )
-        used_pairs.update(pairs)
-        clauses.append(Clause.from_signed(*triple))
+        clauses.append(Clause.from_signed(a, b, c))
     return CnfFormula(num_vars, tuple(clauses))
 
 

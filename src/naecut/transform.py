@@ -26,20 +26,11 @@ from .textio import ints, lines
 
 @dataclass(frozen=True)
 class TransformMap:
-    """Links original variables to their per-occurrence copies."""
+    """Links original variables to their per-occurrence copies; x is its own first copy."""
 
     num_original_vars: int
     num_output_vars: int
     replacements: dict[int, tuple[int, ...]]
-
-    def copies_of(self, var: int) -> tuple[int, ...]:
-        return self.replacements[var]
-
-    def equality_clause_count(self) -> int:
-        return sum(len(copies) - 1 for copies in self.replacements.values())
-
-    def is_identity(self) -> bool:
-        return all(len(copies) == 1 for copies in self.replacements.values())
 
 
 def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
@@ -60,28 +51,15 @@ def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
     replacements: dict[int, tuple[int, ...]] = {}
     next_fresh = n + 1
     for x in range(1, n + 1):
-        k = counts[x]
-        if k <= 1:
-            replacements[x] = (x,)
-        else:
-            replacements[x] = (x,) + tuple(range(next_fresh, next_fresh + k - 1))
-            next_fresh += k - 1
+        extra = max(counts[x] - 1, 0)
+        replacements[x] = (x, *range(next_fresh, next_fresh + extra))
+        next_fresh += extra
 
-    cursor = {x: 0 for x in range(1, n + 1)}
-    prime: list[Clause] = []
-    for clause in f.clauses:
-        lits = []
-        for x in clause.literals:
-            j = cursor[x]
-            cursor[x] += 1
-            lits.append(replacements[x][j])
-        prime.append(Clause(tuple(lits)))
-
-    equality: list[Clause] = []
-    for x in range(1, n + 1):
-        copies = replacements[x]
-        for i in range(len(copies) - 1):
-            equality.append(Clause((copies[i], -copies[i + 1])))
+    copies_left = {x: iter(copies) for x, copies in replacements.items()}
+    prime = [Clause(tuple(next(copies_left[x]) for x in clause.literals)) for clause in f.clauses]
+    equality = [
+        Clause((y, -z)) for copies in replacements.values() for y, z in itertools.pairwise(copies)
+    ]
 
     out = CnfFormula(next_fresh - 1, tuple(prime + equality))
     tm = TransformMap(n, next_fresh - 1, replacements)
@@ -157,24 +135,25 @@ def lift_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     return {y: assignment[x] for x in originals for y in tm.replacements[x]}
 
 
+def chain_fault(tm: TransformMap, assignment: Assignment) -> str | None:
+    """Name the first variable whose copies disagree, breaking its equality chain, or None."""
+    originals = range(1, tm.num_original_vars + 1)
+    require_variables(assignment, (y for x in originals for y in tm.replacements[x]))
+    for x in originals:
+        if len({assignment[y] for y in tm.replacements[x]}) != 1:
+            return f"equality chain violated: copies of variable {x} disagree"
+    return None
+
+
 def project_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     """Collapse an assignment of the split formula back to the original variables.
 
-    Every replacement list must be constant under the assignment; a mixed
-    list means the equality chain is violated and the assignment is not a
-    valid witness for the split formula.
+    Raises ValueError with chain_fault's text when an equality chain is broken.
     """
-    originals = range(1, tm.num_original_vars + 1)
-    require_variables(assignment, (y for x in originals for y in tm.replacements[x]))
-    out: Assignment = {}
-    for x in originals:
-        values = {assignment[y] for y in tm.replacements[x]}
-        if len(values) != 1:
-            raise ValueError(
-                f"equality chain violated: copies of variable {x} disagree"
-            )
-        out[x] = values.pop()
-    return out
+    fault = chain_fault(tm, assignment)
+    if fault is not None:
+        raise ValueError(fault)
+    return {x: assignment[x] for x in range(1, tm.num_original_vars + 1)}
 
 
 def emit_transform_map(tm: TransformMap) -> str:

@@ -1,9 +1,11 @@
+import itertools
 import random
 import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ import naecut
 from naecut import (
     CnfFormula,
     FormatError,
+    PropertyReport,
     assignment_to_cut,
     build_graph,
     canonical_gadget,
@@ -32,6 +35,7 @@ from naecut import (
     parse_nae_witness,
     split_repeated_variables,
 )
+from naecut import cli
 from naecut.cli import main
 from naecut.formula import nae_fault
 from naecut.graphs import colouring_fault, cut_fault
@@ -382,6 +386,27 @@ def test_verify_assignment_through_the_transform_map(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "cnf, tmap, witness",
+    [
+        # The map names a copy, 9, that the formula does not have.
+        (K3_CNF, "map 1 1 9\nmap 2 2\nmap 3 3\n", "v -1 -2 3 0"),
+        # The map's copies leave out variable 4 of the formula.
+        ("p cnf 5 1\n1 2 3 0\n", "map 1 1 5\nmap 2 2\nmap 3 3\n", "v -1 -2 3 4 -5 0"),
+    ],
+    ids=["extra copy", "gap"],
+)
+def test_verify_assignment_rejects_a_map_that_does_not_describe_the_formula(
+    tmp_path, capsys, monkeypatch, cnf, tmap, witness
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.cnf").write_text(cnf)
+    (tmp_path / "tmap.txt").write_text(tmap)
+    (tmp_path / "wit.txt").write_text(f"s NAE-SATISFIABLE\n{witness}\n")
+    assert main(["verify", "assignment", "f.cnf", "wit.txt", "--map", "tmap.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: transform map does not describe this formula\n")
+
+
 def test_verify_rejects_certificates_that_carry_no_witness(tmp_path, capsys):
     src = tmp_path / "f.cnf"
     src.write_text(K3_CNF)
@@ -479,6 +504,52 @@ def test_roundtrip_break_gadget_detects_failures(capsys):
     ))
 
 
+def _nth_call(n, result):
+    """A stand-in whose n-th call returns `result`; its other calls run the real function."""
+    def stand_in(real):
+        calls = itertools.count(1)
+        return lambda *args: result if next(calls) == n else real(*args)
+    return stand_in
+
+
+def _always(result):
+    return lambda real: lambda *args: result
+
+
+def _raise_value_error(*args):
+    raise ValueError("stand-in")
+
+
+# Failure label -> (the name in naecut.cli to replace, a stand-in made from the real one).
+# Each stand-in breaks one check of a trial whose formula, split formula and extracted
+# formula are all NAE-satisfiable and whose graph has gadgets, so no other check fails.
+_TRIAL_FAULTS = {
+    "split-properties": ("check_properties", _always(PropertyReport(False, *[True] * 5))),
+    "split-equivalence": ("brute_force_nae", _nth_call(2, None)),
+    "lifted-witness": ("nae_satisfies", _nth_call(1, False)),
+    "lift-project-roundtrip": ("project_assignment", _always({})),
+    "degree-bound": ("max_degree", _always(9)),
+    "colour-bound": ("construct_5_colouring", _always(SimpleNamespace(k=6))),
+    "gadget-triangles": ("enumerate_triangles", _always([])),
+    "cut-equivalence": ("brute_force_cut", _always(None)),
+    "cut-witness": ("nae_satisfies", _nth_call(2, False)),
+    "extraction-equivalence": ("brute_force_nae", _nth_call(3, None)),
+    "extraction-cut": ("cut_from_vertex_assignment", lambda real: _raise_value_error),
+    "extraction-occurrences": ("occurrence_counts", _always({1: 8})),
+}
+
+
+@pytest.mark.parametrize("label", _TRIAL_FAULTS)
+def test_roundtrip_names_each_failed_check(capsys, monkeypatch, label):
+    name, stand_in = _TRIAL_FAULTS[label]
+    monkeypatch.setattr(cli, name, stand_in(getattr(cli, name)))
+    argv = ["roundtrip", "--seed", "0", "-n", "6", "-m", "4", "--trials", "1"]
+    assert run(capsys, *argv) == (1, (
+        f"trial 0 seed 173879092 n 6 m 4 FAIL {label}\n"
+        "trials 1 passed 0 failed 1\n"
+    ))
+
+
 def test_exit_code_2_on_missing_file(capsys):
     assert run(capsys, "solve-nae", "/nonexistent/x.cnf")[0] == 2
 
@@ -554,6 +625,26 @@ def test_input_over_the_size_limit_is_exit_2_in_bounded_memory(tmp_path, argv, f
     done = _run_process(argv, tmp_path, address_space=600_000 * 1024)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: {message} exceeds the limit of {MAX_COUNT}\n"
+
+
+@pytest.mark.parametrize(
+    "counts, code, err",
+    [
+        (["-n", "100000000", "-m", "1"], 2,
+         f"error: roundtrip count 100000000 exceeds the limit of {MAX_COUNT}\n"),
+        (["-n", "5", "-m", "100000000"], 2,
+         f"error: roundtrip count 100000000 exceeds the limit of {MAX_COUNT}\n"),
+        # Within the limit, the trial's 794,773 clauses still exhaust the address space.
+        (["-n", "5", "-m", "1000000"], 4, "error: internal error: MemoryError\n"),
+    ],
+    ids=["variables over the limit", "clauses over the limit", "out of memory"],
+)
+def test_roundtrip_counts_are_capped_and_running_out_of_memory_is_exit_4(
+    tmp_path, counts, code, err
+):
+    argv = ["roundtrip", *counts, "--trials", "1"]
+    done = _run_process(argv, tmp_path, address_space=600_000 * 1024)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -20,14 +20,14 @@ from naecut import (
     split_repeated_variables,
     transform_map_comments,
 )
+from naecut.transform import chain_fault
 
 
 def test_split_leaves_repeat_free_formula_unchanged():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
     out, tm = split_repeated_variables(f)
     assert out == f
-    assert tm.is_identity()
-    assert tm.equality_clause_count() == 0
+    assert tm.replacements == {1: (1,), 2: (2,), 3: (3,)}
 
 
 def test_split_two_occurrences():
@@ -35,8 +35,7 @@ def test_split_two_occurrences():
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
     assert [cl.literals for cl in out.clauses] == [(1, 2, 3), (6, 4, 5), (1, -6)]
-    assert tm.copies_of(1) == (1, 6)
-    assert all(tm.copies_of(x) == (x,) for x in (2, 3, 4, 5))
+    assert tm.replacements == {1: (1, 6), 2: (2,), 3: (3,), 4: (4,), 5: (5,)}
 
 
 def test_split_two_repeated_variables():
@@ -49,7 +48,7 @@ def test_split_two_repeated_variables():
         (1, -5),
         (2, -6),
     ]
-    assert tm.equality_clause_count() == 2
+    assert tm.replacements == {1: (1, 5), 2: (2, 6), 3: (3,), 4: (4,)}
 
 
 def test_split_rejects_non_monotone_input():
@@ -66,7 +65,7 @@ def test_split_map_invariants_and_size_formula():
         assert len(copies) == len(set(copies))
         assert sorted(copies) == list(range(1, out.num_vars + 1))
         extra = sum(max(k - 1, 0) for k in counts.values())
-        assert tm.equality_clause_count() == extra
+        assert sum(len(lst) - 1 for lst in tm.replacements.values()) == extra
         assert len(out.clauses) == len(f.clauses) + extra
         assert out.num_vars == sum(max(k, 1) for k in counts.values())
 
@@ -186,8 +185,12 @@ def test_project_forced_values_and_chain_violation():
     _, tm = split_repeated_variables(f)
     base = {2: False, 3: True, 4: False, 5: True}
     assert project_assignment(tm, {**base, 1: False, 6: False})[1] is False
-    with pytest.raises(ValueError):
-        project_assignment(tm, {**base, 1: True, 6: False})
+    assert chain_fault(tm, {**base, 1: False, 6: False}) is None
+    broken = {**base, 1: True, 6: False}
+    message = "equality chain violated: copies of variable 1 disagree"
+    assert chain_fault(tm, broken) == message
+    with pytest.raises(ValueError, match=message):
+        project_assignment(tm, broken)
 
 
 def test_lift_then_project_is_identity():
