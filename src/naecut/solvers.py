@@ -8,11 +8,17 @@ clause is unit; decisions follow variable activity.  The smallest witness
 is then fixed variable by variable in index order: a variable is False
 when some model extends the values fixed so far with it False, which the
 last model or one solve under that assumption shows, and True otherwise.
-Before searching the engine adds implied equalities: two apexes over the
-same positive 3-group, as in a gadget's two tetrahedra glued along a face,
-must take the same value.  All search state lives in explicit lists, so
-depth is bounded by the budget, not by the interpreter's recursion limit.
-A budget error is always distinct from "no solution exists".
+
+Before searching, the engine rewrites the groups once by two exact rules.
+A gadget interior (the face two glued tetrahedra share) whose indices are
+the largest left is peeled: its apexes must be equal, and each of their
+values has one smallest completion, on which nothing earlier depends.
+Then a parity union-find merges the classes that 2-groups and apex
+equalities define into their smallest indices.  Two models first differ
+at a representative, so searching the representatives in index order
+keeps the smallest witness.  All search state lives in explicit lists,
+so depth is bounded by the budget, not by the interpreter's recursion
+limit.  A budget error is always distinct from "no solution exists".
 """
 
 from __future__ import annotations
@@ -68,6 +74,110 @@ def _apex_equalities(num_vars: int, groups) -> list[tuple[int, int]]:
     return sorted(equalities)
 
 
+def _peel_trailing_interiors(num_vars: int, groups: list):
+    """The groups left after peeling gadget interiors off the top, and [(x, a, b, c)].
+
+    The three largest indices a < b < c still left are an interior when
+    their only groups are the positive face (a, b, c) and the six positive
+    (z, u, w) for two apexes z in {x, y} below a and the face's pairs
+    {u, w}.  Every model then has x = y, and each value of x extends to
+    a, b, c, so the seven groups give way to (x, -y).  Peeling stops at
+    the first triple that is not an interior.  The groups left keep their
+    input order, followed by the kept 2-groups.
+    """
+    # by_top[v]: the groups left whose largest variable is v.  While a, b, c
+    # are the largest left, the groups holding any of them are exactly those
+    # of by_top[a], by_top[b] and by_top[c]: each apex keeps a 2-group in
+    # by_top of the larger apex, which is then also in the triple.
+    by_top: list[list] = [[] for _ in range(num_vars + 1)]
+    tops = [max(map(abs, g)) for g in groups]
+    for t, g in zip(tops, groups):
+        by_top[t].append(g)
+    peeled, kept = [], []
+    top = num_vars
+    while top >= 5:
+        abc = a, b, c = top - 2, top - 1, top
+        near = by_top[a] + by_top[b] + by_top[c]
+        if len(near) != 7:
+            break
+        faces = set(map(tuple, map(sorted, near)))
+        apexes = sorted({face[0] for face in faces} - {a})
+        if len(apexes) != 2 or apexes[0] < 1:
+            break
+        x, y = apexes
+        if faces != {abc, (x, a, b), (x, a, c), (x, b, c), (y, a, b), (y, a, c), (y, b, c)}:
+            break
+        by_top[y].append((x, -y))
+        kept.append((x, -y))
+        peeled.append((x, a, b, c))
+        top -= 3
+    return [g for t, g in zip(tops, groups) if t <= top] + kept, peeled
+
+
+def _presolve(num_vars: int, groups: list):
+    """Rewrite the groups onto the variables the search needs, or None when there is no model.
+
+    Returns (m, 3-groups over 1..m, lits, peeled).  Input variable v below
+    len(lits) takes the value of the signed search variable lits[v]; the
+    variables above are the interiors (x, a, b, c) of `peeled`, top first.
+    """
+    groups, peeled = _peel_trailing_interiors(num_vars, groups)
+    top = num_vars - 3 * len(peeled)
+    pairs = [g for g in groups if len(g) == 2] + _apex_equalities(top, groups)
+    triples = [g for g in groups if len(g) == 3]
+
+    # Parity union-find: v takes the value of parent[v], complemented when flip[v].
+    parent = list(range(top + 1))
+    flip = bytearray(top + 1)
+
+    def find(lit: int) -> int:
+        """The signed class root whose value literal lit takes; a root is its class's smallest index."""
+        v = lit if lit > 0 else -lit
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        parity = 0
+        for u in reversed(path):
+            parity ^= flip[u]
+            parent[u], flip[u] = v, parity
+        return -v if parity ^ (lit < 0) else v
+
+    # A 2-group holds exactly when its literals differ.  Rewritten onto
+    # roots, a 3-group holding a literal and its complement always holds,
+    # one with a repeated literal holds exactly when its two literals
+    # differ, and one literal three times never holds.
+    while pairs:
+        for p, q in pairs:
+            p, q = find(p), find(q)
+            if p == q:
+                return None
+            if p != -q:
+                lo, hi = sorted((p, q), key=abs)
+                parent[abs(hi)] = abs(lo)
+                flip[abs(hi)] = (lo < 0) ^ (hi < 0) ^ 1
+        pairs = []
+        left = []
+        for g in triples:
+            h = tuple(map(find, g))
+            distinct = len({abs(x) for x in h})
+            if distinct == 3:
+                left.append(h)
+            elif len(set(h)) == distinct:
+                if distinct == 1:
+                    return None
+                pairs.append(tuple(set(h)))
+        triples = left
+
+    roots = [v for v in range(1, top + 1) if parent[v] == v]
+    index = [0] * (top + 1)
+    for i, v in enumerate(roots, 1):
+        index[v] = i
+    lits = [0] + [index[r] if r > 0 else -index[-r] for r in map(find, range(1, top + 1))]
+    triples = [tuple(lits[x] if x > 0 else -lits[-x] for x in g) for g in triples]
+    return len(roots), triples, lits, peeled
+
+
 class _NaeEngine:
     """Conflict-driven search for the smallest model of not-all-equal groups.
 
@@ -88,7 +198,12 @@ class _NaeEngine:
     A conflict yields a first-UIP clause, minus literals whose reasons it
     already covers, and a jump back to the level where it is unit.
     Decisions take the most active free variable (VSIDS) and set it False.
-    `__init__` also adds apex equalities (see `_apex_equalities`).
+
+    `__init__` takes groups of 2 or 3 literals over distinct variables and
+    presolves them (`_presolve`): it peels trailing gadget interiors,
+    merges the classes of the 2-groups and apex equalities, and keeps
+    only 3-groups over the `n` variables left.  `eliminated` counts the
+    peeled variables and `merged` those merged into a smaller index.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a
     first model, then fixes variables in index order, each as a level-0
@@ -97,14 +212,21 @@ class _NaeEngine:
     it, and otherwise by one solve that assumes i False at level 1: a model
     found there replaces the last one, a refutation fixes i True.  Each step
     keeps the smaller value exactly when some model extends the prefix with
-    it, so the last model is the lexicographically smallest.  Budget states
+    it, so the last model is the lexicographically smallest.  It then maps
+    the model back to every input variable: a merged one takes its
+    representative's value or its complement, and a peeled interior
+    a, b, c takes False, True, True when its apex x is False and False,
+    False, True when x is True, the smallest completions.  Budget states
     are decisions, counted across every solve of one `solve` call.
     """
 
     def __init__(self, num_vars: int, groups):
-        groups = list(groups)
-        groups += _apex_equalities(num_vars, groups)
-        self.n = n = num_vars
+        presolved = _presolve(num_vars, list(groups))
+        # lits is None when the presolve already shows there is no model.
+        n, groups, self.lits, self.peeled = presolved or (0, [], None, [])
+        self.eliminated = 3 * len(self.peeled)
+        self.merged = 0 if presolved is None else num_vars - self.eliminated - n
+        self.n = n
         self.code = code = list(range(2 * n + 2))
         self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)
@@ -146,17 +268,14 @@ class _NaeEngine:
                 pos = 0 if g[0] >> 1 == v else 1
                 mine, other = g[pos], g[1 - pos]
                 t = val[mine]
-                if len(g) == 3:
-                    x = val[g[2]]
-                    if x is None:
-                        g[pos], g[2] = g[2], mine
-                        gwatch[g[pos] >> 1].append(g)
-                        continue
-                    keep.append(g)
-                    if x is not t:
-                        continue
-                else:
-                    keep.append(g)
+                x = val[g[2]]
+                if x is None:
+                    g[pos], g[2] = g[2], mine
+                    gwatch[g[pos] >> 1].append(g)
+                    continue
+                keep.append(g)
+                if x is not t:
+                    continue
                 y = val[other]
                 if y is None:
                     u = other ^ 1 if t else other
@@ -314,9 +433,11 @@ class _NaeEngine:
             elif not self._decide(None):
                 return True
 
-    def solve(self, max_states: int) -> list[bool | None] | None:
-        """Lexicographically smallest model (index 0 unused), or None; needs n >= 1."""
+    def solve(self, max_states: int) -> list[bool] | None:
+        """Lexicographically smallest model over the input's variables (index 0 unused), or None."""
         self.max_states = max_states
+        if self.lits is None:
+            return None
         self._assign(3, None)  # variable 1 False
         if not self._search(None):
             return None
@@ -331,7 +452,10 @@ class _NaeEngine:
                 if val[2 * i] is None:
                     self._assign(self.code[2 * i + (not model[i])], None)
                     self._propagate()
-        return model
+        full = [None] + [model[x] if x > 0 else not model[-x] for x in self.lits[1:]]
+        for x, _, _, _ in reversed(self.peeled):
+            full += (False, not full[x], True)
+        return full
 
     def _model(self) -> list[bool | None]:
         return [self.val[2 * v] for v in range(self.n + 1)]

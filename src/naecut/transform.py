@@ -21,7 +21,7 @@ from .formula import (
     occurrence_counts,
     require_variables,
 )
-from .textio import ints, lines
+from .textio import MAX_COUNT, ints, lines
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,9 @@ def parse_transform_map(text: str | bytes) -> TransformMap:
         if len(parts) < 3:
             raise FormatError(f"malformed map line: {line!r}")
         x, *copies = ints(parts[1:], "map line", line)
+        for y in copies:
+            if not 1 <= y <= MAX_COUNT:
+                raise FormatError(f"copy {y} of variable {x} out of range 1..{MAX_COUNT}")
         if x in replacements:
             raise FormatError(f"variable {x} mapped twice")
         if copies[0] != x:

@@ -151,8 +151,10 @@ def test_engine_activity_rescale_keeps_the_witness():
     from naecut.solvers import _NaeEngine
 
     formulas = [random_signed_formula(seed) for seed in range(200)]
-    # Few small formulas reach a conflict above level 0, where the rescale runs.
-    formulas += [generate_instance(seed, 12, 30) for seed in range(40)]
+    # Few small formulas reach a conflict above level 0, where the rescale
+    # runs, and the presolve decides almost every signed one without a
+    # conflict; the 2-group-free formulas below keep the rescale exercised.
+    formulas += [generate_instance(seed, 12, 30) for seed in range(80)]
     rescaled = 0
     for f in formulas:
         engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
@@ -249,16 +251,33 @@ def test_nae_deep_formula_has_witness():
     assert witness == {x: x == 3 for x in range(1, 3001)}
 
 
-def test_cut_on_large_reduction_graph():
+def _reduction_graph(seed, n):
     from naecut import build_graph
 
-    for n, vertices in ((256, 3856), (800, 12040)):
-        split, _ = split_repeated_variables(generate_instance(0, n, round(1.5 * n)))
-        g, _ = build_graph(split)
+    f = generate_instance(seed, n, round(1.5 * n))
+    split, _ = split_repeated_variables(f)
+    g, _ = build_graph(split)
+    return f, g
+
+
+def _check_cut_against_formula(f, g):
+    # Every formula passed here is satisfiable (m = 1.5n is well below the
+    # NAE threshold).  Variable x is vertex x and every copy equals its
+    # original, so the smallest cut restricted to vertices 1..n is the
+    # smallest NAE witness of the original formula.
+    cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
+    witness = brute_force_nae(f, exhaustive_budget(f.num_vars))
+    assert cut is not None
+    assert witness is not None
+    assert verify_cut_triangle_free(g, cut)
+    assert {x: x in cut.side_a for x in range(1, f.num_vars + 1)} == witness
+
+
+def test_cut_on_large_reduction_graph():
+    for n, vertices in ((256, 3856), (800, 12040), (1024, 15400)):
+        f, g = _reduction_graph(0, n)
         assert g.num_vertices == vertices
-        cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
-        assert cut is not None
-        assert verify_cut_triangle_free(g, cut)
+        _check_cut_against_formula(f, g)
 
 
 def _traced_peak(num_vars, groups):
@@ -441,6 +460,91 @@ def test_apex_equalities_need_four_positive_groups():
         ]
         f = CnfFormula.from_ints(7, clauses)
         assert brute_force_nae(f) == naive_nae_smallest(f)
+
+
+def test_presolve_leaves_the_original_variables_of_a_reduction_graph():
+    # Peeling the gadget interiors and merging the copy chains leaves one
+    # search variable per variable of the formula the graph was built from.
+    from naecut.solvers import _NaeEngine
+
+    for seed in (3, 4, 5):
+        for n in (16, 64, 200):
+            f, g = _reduction_graph(seed, n)
+            engine = _NaeEngine(g.num_vertices, enumerate_triangles(g))
+            assert engine.n == n
+            assert engine.merged + engine.eliminated == g.num_vertices - n
+            assert engine.eliminated > 0
+            _check_cut_against_formula(f, g)
+
+
+def _gadget_groups(x, y, a, b, c):
+    return [(a, b, c)] + [(z, u, w) for z in (x, y) for u, w in ((a, b), (a, c), (b, c))]
+
+
+def test_presolve_peels_only_trailing_gadget_interiors():
+    from naecut import Gadget
+    from naecut.solvers import _NaeEngine
+
+    def peeled(n, groups):
+        return _NaeEngine(n, groups).eliminated
+
+    def flipped(groups, k, i):
+        return [[-v if (j, m) == (k, i) else v for m, v in enumerate(g)] for j, g in enumerate(groups)]
+
+    gadget = _gadget_groups(1, 2, 3, 4, 5)
+    assert peeled(5, gadget) == 3
+    refused = [flipped(gadget, k, i) for k in (0, 1, 6) for i in range(3)]  # a signed face or apex group
+    refused += [[[-v if v == 1 else v for v in g] for g in gadget]]  # an apex signed in all its groups
+    refused += [gadget + [(3, 1)], gadget + [(1, 4, 5)], gadget + [(2, -5)]]  # one extra group
+    refused += [gadget[:6] + gadget]  # a group twice
+    for groups in refused:
+        assert peeled(5, groups) == 0
+        f = CnfFormula.from_ints(5, groups)
+        assert brute_force_nae(f) == naive_nae_smallest(f)
+    # The apexes 4, 5 of the peeled interior 6, 7, 8 keep the 2-group (4, -5),
+    # so the interior 3, 4, 5 below has an eighth group and stays.
+    nested = gadget + _gadget_groups(4, 5, 6, 7, 8)
+    assert peeled(8, nested) == 3
+    f = CnfFormula.from_ints(8, nested)
+    assert brute_force_nae(f) == naive_nae_smallest(f)
+
+    chain = Graph(9, Gadget(1, 2, 4, 5, 6).edge_list() + Gadget(2, 3, 7, 8, 9).edge_list())
+    graphs = [
+        # faces with three and four apexes below them
+        _tetrahedra(3 + k, (k + 1, k + 2, k + 3), range(1, k + 1)) for k in (3, 4)
+    ] + [
+        # a gadget whose interior is not the highest-indexed
+        Graph(6, Gadget(1, 2, 3, 4, 5).edge_list()),
+        Graph(6, Gadget(1, 6, 3, 4, 5).edge_list()),
+        # an interior with an extra triangle through the apexes
+        Graph(5, Gadget(1, 2, 3, 4, 5).edge_list() + [(1, 2)]),
+        # two gadgets sharing the apex 2, the other apex of one lying in
+        # the other's interior
+        Graph(8, Gadget(1, 2, 6, 7, 8).edge_list() + Gadget(2, 8, 3, 4, 5).edge_list()),
+    ]
+    for g in graphs:
+        assert peeled(g.num_vertices, enumerate_triangles(g)) == 0
+        assert brute_force_cut(g) == naive_cut_smallest(g)
+    # Two gadgets sharing the apex 2 both peel when their interiors are on top.
+    engine = _NaeEngine(9, enumerate_triangles(chain))
+    assert (engine.n, engine.merged, engine.eliminated) == (1, 2, 6)
+    assert brute_force_cut(chain) == naive_cut_smallest(chain)
+
+
+def test_presolve_collapses_repeated_literals_and_refutes():
+    from naecut.solvers import _NaeEngine
+
+    for groups in (
+        [(1, -2), (2, -3), (1, 2, 3)],  # 1 = 2 = 3 leaves the 3-group one literal
+        [(1, -2), (1, 2)],  # 1 = 2 and 1 != 2
+        [(1, -2), (3, -4), (1, 3, 2), (2, 4, 5), (1, 3, 5)],  # (1, 3, 1) makes 1 != 3
+    ):
+        f = CnfFormula.from_ints(5, groups)
+        assert brute_force_nae(f) == naive_nae_smallest(f)
+    for groups in ([(1, -2), (2, -3), (1, 2, 3)], [(1, -2), (1, 2)]):
+        engine = _NaeEngine(3, groups)
+        assert engine.solve(10) is None
+        assert engine.decisions == 0
 
 
 def test_extraction_cut_oracle_agreement():

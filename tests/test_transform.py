@@ -244,3 +244,18 @@ def test_map_parse_errors():
     ):
         with pytest.raises(FormatError):
             parse_transform_map(text)
+
+
+def test_map_copies_must_name_variables_in_range():
+    # A copy names a variable: 1..MAX_COUNT, like every count of the text formats.
+    from naecut.textio import MAX_COUNT
+
+    for text, copy in (
+        ("map 1 1 -2\nmap 2 2\n", -2),
+        ("map 1 1\nmap 2 2 0\n", 0),
+        (f"map 1 1 {MAX_COUNT + 1}\n", MAX_COUNT + 1),
+    ):
+        with pytest.raises(FormatError, match=rf"^copy {copy} of variable \d out of range"):
+            parse_transform_map(text)
+    tm = parse_transform_map(f"map 1 1 {MAX_COUNT}\n")
+    assert tm.num_output_vars == MAX_COUNT
