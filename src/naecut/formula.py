@@ -24,12 +24,12 @@ class Clause:
     literals: tuple[int, ...]
 
     def __post_init__(self):
-        if 0 in self.literals:
+        variables = set(map(abs, self.literals))
+        if 0 in variables:
             raise ValueError("0 is reserved as the clause terminator")
         if len(self.literals) not in (2, 3):
             raise ValueError(f"clause length must be 2 or 3, got {len(self.literals)}")
-        variables = self.variables()
-        if len(set(variables)) != len(variables):
+        if len(variables) != len(self.literals):
             raise ValueError(f"duplicate variable in clause {self.literals}")
 
     @staticmethod
@@ -50,12 +50,10 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        for clause in self.clauses:
-            for x in clause.variables():
-                if x > self.num_vars:
-                    raise ValueError(
-                        f"variable {x} exceeds declared count {self.num_vars}"
-                    )
+        literals = itertools.chain.from_iterable(cl.literals for cl in self.clauses)
+        if max(map(abs, literals), default=0) > self.num_vars:
+            x = next(x for cl in self.clauses for x in cl.variables() if x > self.num_vars)
+            raise ValueError(f"variable {x} exceeds declared count {self.num_vars}")
 
     @staticmethod
     def from_ints(num_vars: int, clause_lists) -> "CnfFormula":

@@ -2,12 +2,13 @@
 
 Both brute-force oracles run one conflict-driven engine over "not-all-equal
 groups" (a clause's literals, or a triangle's vertices read as side bits).
-Each group is stored once and watched by two of its variables.  A conflict
-teaches the engine a clause and sends it back to the level where that
-clause is unit; decisions follow variable activity.  The smallest witness
-is then fixed variable by variable in index order: a variable is False
-when some model extends the values fixed so far with it False, which the
-last model or one solve under that assumption shows, and True otherwise.
+Each group is stored once, listed under each of its variables, and checked
+whenever one of them is assigned.  A conflict teaches the engine a clause
+and sends it back to the level where that clause is unit; decisions follow
+variable activity.  The smallest witness is then fixed variable by variable
+in index order: a variable is False when some model extends the values
+fixed so far with it False, which the last model or one solve under that
+assumption shows, and True otherwise.
 
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
@@ -186,18 +187,22 @@ class _NaeEngine:
     are equal.  Literal code 2v means v is True and 2v+1 that v is False; one
     int object per code is shared by every group and clause, and `val` is
     indexed by code.  A group stands for the clauses (l1 | l2 | l3) and
-    (-l1 | -l2 | -l3) but is stored once, as a list of codes whose first two
-    variables are watched.  Assigning either visits the group, which moves
-    that watch to the third variable while it is free, and otherwise forces
-    or reports a conflict.  So while a watched variable is assigned, the
-    third one is assigned too, at no higher level, and no backjump can leave
-    a unit or all-equal group unvisited.  The group is the reason of what it
-    forces, every other variable being an antecedent.  Learned clauses keep
-    two watched literals.
+    (-l1 | -l2 | -l3) but is stored once, as a tuple of its three codes
+    listed under each of its variables (`occ`).  Propagating a variable
+    checks each of its groups by their three values: with one free and the
+    other two equal it forces the free one to the opposite value, with all
+    three equal it reports a conflict, and otherwise it does nothing.  The
+    last variable of a group to be assigned sees all the others' values, so
+    once the trail is processed no group is unit or all-equal.  The group is
+    the reason of what it forces, every other variable being an antecedent.
+    Learned clauses keep two watched literals.
 
     A conflict yields a first-UIP clause, minus literals whose reasons it
     already covers, and a jump back to the level where it is unit.
     Decisions take the most active free variable (VSIDS) and set it False.
+    The heap holds at most one entry per variable with its current activity
+    (`queued`): a bump makes that entry stale, and a backjump pushes only
+    the variables without a live one.
 
     `__init__` takes groups of 2 or 3 literals over distinct variables and
     presolves them (`_presolve`): it peels trailing gadget interiors,
@@ -230,21 +235,24 @@ class _NaeEngine:
         self.code = code = list(range(2 * n + 2))
         self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)
-        self.reason: list[list[int] | None] = [None] * (n + 1)
-        self.gwatch: list[list[list[int]]] = [[] for _ in range(n + 1)]
-        self.cwatch: dict[int, list[list[int]]] = {}
+        self.reason: list[tuple[int, ...] | list[int] | None] = [None] * (n + 1)
+        self.occ: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+        self.cwatch: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
         for g in groups:
-            lits = list(map(code.__getitem__, (2 * x if x > 0 else 1 - 2 * x for x in g)))
-            self.gwatch[lits[0] >> 1].append(lits)
-            self.gwatch[lits[1] >> 1].append(lits)
+            lits = tuple(map(code.__getitem__, (2 * x if x > 0 else 1 - 2 * x for x in g)))
+            for c in lits:
+                self.occ[c >> 1].append(lits)
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
         self.activity = [0.0] * (n + 1)
         self.inc = 1.0
         self.heap = [(0.0, v) for v in range(1, n + 1)]
+        # queued[v]: the heap holds an entry for v carrying its current activity.
+        self.queued = bytearray(b"\x01" * (n + 1))
         self.seen = bytearray(n + 1)
-        self.decisions = self.conflicts = self.learned = self.solves = self.max_depth = 0
+        self.decisions = self.propagations = self.conflicts = self.learned = 0
+        self.solves = self.max_depth = 0
         self.max_states = 0
 
     def _assign(self, lit: int, why: list[int] | None) -> None:
@@ -253,44 +261,46 @@ class _NaeEngine:
         self.reason[lit >> 1] = why
         self.trail.append(lit)
 
-    def _propagate(self) -> list[int] | None:
+    def _propagate(self) -> tuple[int, ...] | list[int] | None:
         """Propagate the unprocessed trail; the violated group or clause, or None."""
         val, trail, level, reason = self.val, self.trail, self.level, self.reason
-        gwatch, cwatch = self.gwatch, self.cwatch
+        occ, cwatch = self.occ, self.cwatch
         dl = len(self.lim)
         q = self.qhead
         while q < len(trail):
             p = trail[q]
             q += 1
-            v = p >> 1
-            ws, keep = gwatch[v], []
-            for k, g in enumerate(ws):
-                pos = 0 if g[0] >> 1 == v else 1
-                mine, other = g[pos], g[1 - pos]
-                t = val[mine]
-                x = val[g[2]]
+            for g in occ[p >> 1]:
+                a, b, c = g
+                x, y, z = val[a], val[b], val[c]
                 if x is None:
-                    g[pos], g[2] = g[2], mine
-                    gwatch[g[pos] >> 1].append(g)
-                    continue
-                keep.append(g)
-                if x is not t:
-                    continue
-                y = val[other]
-                if y is None:
-                    u = other ^ 1 if t else other
-                    val[u], val[u ^ 1] = True, False
-                    level[u >> 1] = dl
-                    reason[u >> 1] = g
-                    trail.append(u)
-                elif y is t:
-                    gwatch[v] = keep + ws[k + 1 :]
+                    if y is not z:
+                        continue
+                    u = a ^ 1 if y else a
+                elif y is None:
+                    if x is not z:
+                        continue
+                    u = b ^ 1 if x else b
+                elif z is None:
+                    if x is not y:
+                        continue
+                    u = c ^ 1 if x else c
+                elif x is y is z:
+                    self.propagations += q - self.qhead
                     self.qhead = q
                     return g
-            gwatch[v] = keep
+                else:
+                    continue
+                val[u], val[u ^ 1] = True, False
+                level[u >> 1] = dl
+                reason[u >> 1] = g
+                trail.append(u)
             f = p ^ 1
-            ws, keep = cwatch.get(f), []
-            for k, cl in enumerate(ws or ()):
+            ws = cwatch[f]
+            if not ws:
+                continue
+            keep = []
+            for k, cl in enumerate(ws):
                 if cl[0] == f:
                     cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
@@ -299,11 +309,12 @@ class _NaeEngine:
                     for m in range(2, len(cl)):
                         if val[cl[m]] is not False:
                             cl[1], cl[m] = cl[m], cl[1]
-                            cwatch.setdefault(cl[1], []).append(cl)
+                            cwatch[cl[1]].append(cl)
                             break
                     else:
                         if fv is False:
                             cwatch[f] = keep + ws[k:]
+                            self.propagations += q - self.qhead
                             self.qhead = q
                             return cl
                         val[first], val[first ^ 1] = True, False
@@ -313,12 +324,12 @@ class _NaeEngine:
                         keep.append(cl)
                     continue
                 keep.append(cl)
-            if ws:
-                cwatch[f] = keep
+            cwatch[f] = keep
+        self.propagations += q - self.qhead
         self.qhead = q
         return None
 
-    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+    def _analyze(self, confl: tuple[int, ...] | list[int]) -> tuple[list[int], int]:
         """First-UIP clause, asserting literal first, and the level it is unit at."""
         seen, level, reason, trail, val = self.seen, self.level, self.reason, self.trail, self.val
         dl = len(self.lim)
@@ -352,9 +363,10 @@ class _NaeEngine:
             if reason[c >> 1] is None
             or any(not seen[x >> 1] and level[x >> 1] for x in reason[c >> 1])
         ]
-        act, inc = self.activity, self.inc
+        act, inc, queued = self.activity, self.inc, self.queued
         for u in touched:
             seen[u] = 0
+            queued[u] = 0
             act[u] += inc
         self.inc = inc / 0.95
         if self.inc > 1e100:
@@ -369,6 +381,7 @@ class _NaeEngine:
 
     def _rebuild_heap(self) -> None:
         act, val = self.activity, self.val
+        self.queued[:] = bytes(val[2 * v] is None for v in range(self.n + 1))
         self.heap = [(-act[v], v) for v in range(1, self.n + 1) if val[2 * v] is None]
         heapq.heapify(self.heap)
 
@@ -376,10 +389,13 @@ class _NaeEngine:
         if len(self.lim) <= lvl:
             return
         start = self.lim[lvl]
-        val, act, heap = self.val, self.activity, self.heap
+        val, act, heap, queued = self.val, self.activity, self.heap, self.queued
         for p in self.trail[start:]:
             val[p] = val[p ^ 1] = None
-            heapq.heappush(heap, (-act[p >> 1], p >> 1))
+            v = p >> 1
+            if not queued[v]:
+                queued[v] = 1
+                heapq.heappush(heap, (-act[v], v))
         del self.trail[start:]
         del self.lim[lvl:]
         self.qhead = start
@@ -395,8 +411,10 @@ class _NaeEngine:
         heap, val, act = self.heap, self.val, self.activity
         while lit is None and heap:
             key, v = heapq.heappop(heap)
-            if val[2 * v] is None and -key == act[v]:
-                lit = self.code[2 * v + 1]
+            if -key == act[v]:
+                self.queued[v] = 0
+                if val[2 * v] is None:
+                    lit = self.code[2 * v + 1]
         if lit is None:
             return False
         self.decisions += 1
@@ -423,8 +441,8 @@ class _NaeEngine:
                 self._backtrack(back)
                 if len(learnt) > 1:
                     self.learned += 1
-                    self.cwatch.setdefault(learnt[0], []).append(learnt)
-                    self.cwatch.setdefault(learnt[1], []).append(learnt)
+                    self.cwatch[learnt[0]].append(learnt)
+                    self.cwatch[learnt[1]].append(learnt)
                 self._assign(learnt[0], learnt if len(learnt) > 1 else None)
             elif assume is not None and not self.lim and self.val[assume] is not True:
                 if self.val[assume] is False:

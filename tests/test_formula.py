@@ -212,3 +212,39 @@ def test_literal_and_clause_invariants():
         Clause.from_signed(1, -1)
     with pytest.raises(ValueError):
         CnfFormula.from_ints(2, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "lits, message",
+    [
+        ((1, 0, 2), "0 is reserved as the clause terminator"),
+        ((0, 1, 1, 2), "0 is reserved as the clause terminator"),  # before length and duplicate
+        ((1, 0), "0 is reserved as the clause terminator"),
+        ((1, 2, 3, 4), "clause length must be 2 or 3, got 4"),
+        ((1, 1, 2, 2), "clause length must be 2 or 3, got 4"),  # length before duplicate
+        ((5,), "clause length must be 2 or 3, got 1"),
+        ((), "clause length must be 2 or 3, got 0"),
+        ((1, -1), "duplicate variable in clause (1, -1)"),
+        ((2, 3, -2), "duplicate variable in clause (2, 3, -2)"),
+    ],
+)
+def test_clause_messages_and_their_precedence(lits, message):
+    with pytest.raises(ValueError) as exc:
+        Clause(lits)
+    assert str(exc.value) == message
+
+
+def test_formula_names_the_first_variable_over_its_count():
+    # In clause order, then literal order, whatever the largest variable is.
+    for clauses, x in (
+        ([[1, 2, 3], [1, -9, 4], [7, 2, 3]], 9),
+        ([[1, 2, 3], [-5, 2, 3], [-6, 9, 1]], 5),
+        ([[2, -4, 6]], 4),
+    ):
+        with pytest.raises(ValueError) as exc:
+            CnfFormula.from_ints(3, clauses)
+        assert str(exc.value) == f"variable {x} exceeds declared count 3"
+    with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+        CnfFormula.from_ints(-1, [[1, 2, 3]])
+    assert CnfFormula.from_ints(3, [[-3, 1, 2]]).num_vars == 3
+    assert CnfFormula(0).clauses == ()

@@ -295,10 +295,11 @@ def _traced_peak(num_vars, groups):
 
 
 def test_engine_peak_memory():
-    # The engine stores each triangle once, as one list of shared literal
-    # codes.  On a formula that takes 440 conflicts to refute, the peak
-    # stays bounded because the decision heap is rebuilt before it outgrows
-    # 2n entries (without that it reads about 6,300 bytes per clause).
+    # The engine stores each triangle once, as one tuple of shared literal
+    # codes listed under its three variables.  On a formula that takes 482
+    # conflicts to refute (about 730 bytes per clause), the peak stays
+    # bounded because the decision heap is rebuilt before it outgrows 2n
+    # entries (without that it reads about 2,700 bytes per clause).
     from naecut import build_graph
 
     split, _ = split_repeated_variables(generate_instance(0, 256, 384))
@@ -432,6 +433,78 @@ def test_learning_engine_agrees_with_chronological_oracle(monkeypatch):
         assert brute_force_cut(g) == expected
     assert sum(e.conflicts for e in engines) > 0
     assert sum(e.learned for e in engines) > 0
+
+
+def _assert_fixpoint(engine):
+    # Nothing left to propagate: no group is all-equal or has two equal
+    # values with its third free, and no learned clause is false or unit.
+    val = engine.val
+    for g in {g for gs in engine.occ for g in gs}:
+        values = [val[c] for c in g]
+        assigned = [x for x in values if x is not None]
+        assert len(assigned) < 2 or len(set(assigned)) == 2, (g, values)
+    for cl in {id(cl): cl for ws in engine.cwatch for cl in ws}.values():
+        values = [val[c] for c in cl]
+        assert True in values or values.count(None) >= 2, (cl, values)
+
+
+def test_propagation_reaches_a_fixpoint_on_every_group():
+    # Every time propagation ends without a conflict, on formulas that
+    # learn clauses, gadget-dense graphs and presolved signed groups, the
+    # occurrence lists must have checked every group a new value touched.
+    from naecut.solvers import _NaeEngine
+
+    graphs = _gadget_dense_graphs() + [_reduction_graph(1, n)[1] for n in (16, 40)]
+    inputs = [(g.num_vertices, enumerate_triangles(g)) for g in graphs]
+    for seed in range(40):
+        f = generate_instance(seed, 30, 63)
+        inputs.append((30, [cl.literals for cl in f.clauses]))
+        rng = random.Random(seed)
+        # A few 2-groups merge variables, so the presolved groups carry
+        # complemented literals besides the random signs.
+        signed = [[v if rng.random() < 0.6 else -v for v in cl.literals] for cl in f.clauses[:55]]
+        inputs.append((30, signed + [rng.sample(range(1, 31), 2) for _ in range(4)]))
+    checks = conflicts = negative = 0
+    for n, groups in inputs:
+        engine = _NaeEngine(n, groups)
+        propagate = engine._propagate
+
+        def checked():
+            nonlocal checks
+            confl = propagate()
+            if confl is None:
+                _assert_fixpoint(engine)
+                checks += 1
+            return confl
+
+        engine._propagate = checked
+        result = engine.solve(2**30)
+        conflicts += engine.conflicts
+        negative += any(c & 1 for gs in engine.occ for g in gs for c in g)
+        expected = _NaeEngine(n, groups).solve(2**30)
+        assert result == expected
+    assert checks > 1000 and conflicts > 300 and negative >= 30
+
+
+def test_engine_counts_repeat_exactly():
+    # The counters are plain attributes: the same formula gives the same
+    # counts, and every trail literal the search processed is a propagation.
+    from naecut.solvers import _NaeEngine
+
+    f = generate_instance(3, 100, 210)
+    groups = [cl.literals for cl in f.clauses]
+
+    def counts():
+        engine = _NaeEngine(100, groups)
+        assert engine.solve(2**30) is None
+        return tuple(getattr(engine, k) for k in (
+            "decisions", "propagations", "conflicts", "learned", "solves", "max_depth"
+        ))
+
+    first = counts()
+    assert first == counts()
+    decisions, propagations, conflicts = first[:3]
+    assert propagations > decisions > 0 and conflicts > 0
 
 
 def test_apex_equalities_need_four_positive_groups():
