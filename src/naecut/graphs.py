@@ -245,16 +245,19 @@ def find_k_colouring(g: Graph, k: int, budget: SearchBudget | None = None) -> Co
 
 
 def colouring_fault(g: Graph, c: Colouring) -> str | None:
-    """Name the first monochromatic edge, else a partial or out-of-range colouring; or None."""
-    colours = c.colours
+    """Name the first monochromatic edge, else a partial or out-of-range colouring,
+    else the smallest coloured vertex the graph lacks; or None."""
+    colours, n = c.colours, g.num_vertices
     for u, row in enumerate(g.adj):
         cu = colours.get(u)
         if cu is not None:
             for v in row:
                 if v > u and colours.get(v) == cu:
                     return f"edge {u} {v} is monochromatic"
-    if not all(1 <= colours.get(v, 0) <= c.k for v in range(1, g.num_vertices + 1)):
+    if not all(1 <= colours.get(v, 0) <= c.k for v in range(1, n + 1)):
         return "colouring is partial or uses colours outside 1..k"
+    if len(colours) > n:
+        return f"vertex {min(v for v in colours if not 1 <= v <= n)} out of range 1..{n}"
     return None
 
 

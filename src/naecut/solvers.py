@@ -76,7 +76,7 @@ def _apex_equalities(num_vars: int, groups) -> list[tuple[int, int]]:
 
 
 def _peel_trailing_interiors(num_vars: int, groups: list):
-    """The groups left after peeling gadget interiors off the top, and [(x, a, b, c)].
+    """The groups left after peeling gadget interiors off the top, and the apex x of each.
 
     The three largest indices a < b < c still left are an interior when
     their only groups are the positive face (a, b, c) and the six positive
@@ -110,7 +110,7 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
             break
         by_top[y].append((x, -y))
         kept.append((x, -y))
-        peeled.append((x, a, b, c))
+        peeled.append(x)
         top -= 3
     return [g for t, g in zip(tops, groups) if t <= top] + kept, peeled
 
@@ -118,9 +118,10 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
 def _presolve(num_vars: int, groups: list):
     """Rewrite the groups onto the variables the search needs, or None when there is no model.
 
-    Returns (m, 3-groups over 1..m, lits, peeled).  Input variable v below
-    len(lits) takes the value of the signed search variable lits[v]; the
-    variables above are the interiors (x, a, b, c) of `peeled`, top first.
+    Returns (m, 3-groups over 1..m, lits, the number of peeled variables).
+    Input variable v takes the value of the signed search variable lits[v].
+    A peeled interior a, b, c with apex x reads 1, -lits[x], -1: False,
+    not x, True, the smallest completion once the search pins 1 False.
     """
     groups, peeled = _peel_trailing_interiors(num_vars, groups)
     top = num_vars - 3 * len(peeled)
@@ -176,7 +177,9 @@ def _presolve(num_vars: int, groups: list):
         index[v] = i
     lits = [0] + [index[r] if r > 0 else -index[-r] for r in map(find, range(1, top + 1))]
     triples = [tuple(lits[x] if x > 0 else -lits[-x] for x in g) for g in triples]
-    return len(roots), triples, lits, peeled
+    for x in reversed(peeled):
+        lits += (1, -lits[x], -1)
+    return len(roots), triples, lits, 3 * len(peeled)
 
 
 class _NaeEngine:
@@ -184,10 +187,9 @@ class _NaeEngine:
 
     A group is a sequence of signed variable indices (a negative entry reads
     the variable's complement), violated exactly when all its literal values
-    are equal.  Literal code 2v means v is True and 2v+1 that v is False; one
-    int object per code is shared by every group and clause, and `val` is
-    indexed by code.  A group stands for the clauses (l1 | l2 | l3) and
-    (-l1 | -l2 | -l3) but is stored once, as a tuple of its three codes
+    are equal.  Literal code 2v means v is True and 2v+1 that v is False, and
+    `val` is indexed by code.  A group stands for the clauses (l1 | l2 | l3)
+    and (-l1 | -l2 | -l3) but is stored once, as a tuple of its three codes
     listed under each of its variables (`occ`).  Propagating a variable
     checks each of its groups by their three values: with one free and the
     other two equal it forces the free one to the opposite value, with all
@@ -218,28 +220,24 @@ class _NaeEngine:
     found there replaces the last one, a refutation fixes i True.  Each step
     keeps the smaller value exactly when some model extends the prefix with
     it, so the last model is the lexicographically smallest.  It then maps
-    the model back to every input variable: a merged one takes its
-    representative's value or its complement, and a peeled interior
-    a, b, c takes False, True, True when its apex x is False and False,
-    False, True when x is True, the smallest completions.  Budget states
-    are decisions, counted across every solve of one `solve` call.
+    the model back to every input variable through the signed search
+    variables `lits` of the presolve.  Budget states are decisions, counted
+    across every solve of one `solve` call.
     """
 
     def __init__(self, num_vars: int, groups):
         presolved = _presolve(num_vars, list(groups))
         # lits is None when the presolve already shows there is no model.
-        n, groups, self.lits, self.peeled = presolved or (0, [], None, [])
-        self.eliminated = 3 * len(self.peeled)
+        n, groups, self.lits, self.eliminated = presolved or (0, [], None, 0)
         self.merged = 0 if presolved is None else num_vars - self.eliminated - n
         self.n = n
-        self.code = code = list(range(2 * n + 2))
         self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)
         self.reason: list[tuple[int, ...] | list[int] | None] = [None] * (n + 1)
         self.occ: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.cwatch: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
         for g in groups:
-            lits = tuple(map(code.__getitem__, (2 * x if x > 0 else 1 - 2 * x for x in g)))
+            lits = tuple(2 * x if x > 0 else 1 - 2 * x for x in g)
             for c in lits:
                 self.occ[c >> 1].append(lits)
         self.trail: list[int] = []
@@ -267,67 +265,64 @@ class _NaeEngine:
         occ, cwatch = self.occ, self.cwatch
         dl = len(self.lim)
         q = self.qhead
-        while q < len(trail):
-            p = trail[q]
-            q += 1
-            for g in occ[p >> 1]:
-                a, b, c = g
-                x, y, z = val[a], val[b], val[c]
-                if x is None:
-                    if y is not z:
-                        continue
-                    u = a ^ 1 if y else a
-                elif y is None:
-                    if x is not z:
-                        continue
-                    u = b ^ 1 if x else b
-                elif z is None:
-                    if x is not y:
-                        continue
-                    u = c ^ 1 if x else c
-                elif x is y is z:
-                    self.propagations += q - self.qhead
-                    self.qhead = q
-                    return g
-                else:
-                    continue
-                val[u], val[u ^ 1] = True, False
-                level[u >> 1] = dl
-                reason[u >> 1] = g
-                trail.append(u)
-            f = p ^ 1
-            ws = cwatch[f]
-            if not ws:
-                continue
-            keep = []
-            for k, cl in enumerate(ws):
-                if cl[0] == f:
-                    cl[0], cl[1] = cl[1], cl[0]
-                first = cl[0]
-                fv = val[first]
-                if fv is not True:
-                    for m in range(2, len(cl)):
-                        if val[cl[m]] is not False:
-                            cl[1], cl[m] = cl[m], cl[1]
-                            cwatch[cl[1]].append(cl)
-                            break
+        try:
+            while q < len(trail):
+                p = trail[q]
+                q += 1
+                for g in occ[p >> 1]:
+                    a, b, c = g
+                    x, y, z = val[a], val[b], val[c]
+                    if x is None:
+                        if y is not z:
+                            continue
+                        u = a ^ 1 if y else a
+                    elif y is None:
+                        if x is not z:
+                            continue
+                        u = b ^ 1 if x else b
+                    elif z is None:
+                        if x is not y:
+                            continue
+                        u = c ^ 1 if x else c
+                    elif x is y is z:
+                        return g
                     else:
-                        if fv is False:
-                            cwatch[f] = keep + ws[k:]
-                            self.propagations += q - self.qhead
-                            self.qhead = q
-                            return cl
-                        val[first], val[first ^ 1] = True, False
-                        level[first >> 1] = dl
-                        reason[first >> 1] = cl
-                        trail.append(first)
-                        keep.append(cl)
+                        continue
+                    # _assign(u, g) inline: groups force most assignments, and
+                    # the call costs nae_threshold about 3% of its wall time.
+                    val[u], val[u ^ 1] = True, False
+                    level[u >> 1] = dl
+                    reason[u >> 1] = g
+                    trail.append(u)
+                f = p ^ 1
+                ws = cwatch[f]
+                if not ws:
                     continue
-                keep.append(cl)
-            cwatch[f] = keep
-        self.propagations += q - self.qhead
-        self.qhead = q
-        return None
+                keep = []
+                for k, cl in enumerate(ws):
+                    if cl[0] == f:
+                        cl[0], cl[1] = cl[1], cl[0]
+                    first = cl[0]
+                    fv = val[first]
+                    if fv is not True:
+                        for m in range(2, len(cl)):
+                            if val[cl[m]] is not False:
+                                cl[1], cl[m] = cl[m], cl[1]
+                                cwatch[cl[1]].append(cl)
+                                break
+                        else:
+                            if fv is False:
+                                cwatch[f] = keep + ws[k:]
+                                return cl
+                            self._assign(first, cl)
+                            keep.append(cl)
+                        continue
+                    keep.append(cl)
+                cwatch[f] = keep
+            return None
+        finally:
+            self.propagations += q - self.qhead
+            self.qhead = q
 
     def _analyze(self, confl: tuple[int, ...] | list[int]) -> tuple[list[int], int]:
         """First-UIP clause, asserting literal first, and the level it is unit at."""
@@ -347,7 +342,7 @@ class _NaeEngine:
                     if level[u] == dl:
                         pending += 1
                     else:
-                        learnt.append(self.code[c ^ 1 if val[c] else c])
+                        learnt.append(c ^ 1 if val[c] else c)
             i -= 1
             while not seen[trail[i] >> 1]:
                 i -= 1
@@ -357,7 +352,7 @@ class _NaeEngine:
             if not pending:
                 break
             lits = reason[pivot]
-        learnt[0] = self.code[trail[i] ^ 1]
+        learnt[0] = trail[i] ^ 1
         learnt[1:] = [
             c for c in learnt[1:]
             if reason[c >> 1] is None
@@ -414,7 +409,7 @@ class _NaeEngine:
             if -key == act[v]:
                 self.queued[v] = 0
                 if val[2 * v] is None:
-                    lit = self.code[2 * v + 1]
+                    lit = 2 * v + 1
         if lit is None:
             return False
         self.decisions += 1
@@ -464,19 +459,16 @@ class _NaeEngine:
         val = self.val
         for i in range(2, self.n + 1):
             if val[2 * i] is None:
-                if model[i] and self._search(self.code[2 * i + 1]):
+                if model[i] and self._search(2 * i + 1):
                     model = self._model()
                 self._backtrack(0)
                 if val[2 * i] is None:
-                    self._assign(self.code[2 * i + (not model[i])], None)
+                    self._assign(2 * i + (not model[i]), None)
                     self._propagate()
-        full = [None] + [model[x] if x > 0 else not model[-x] for x in self.lits[1:]]
-        for x, _, _, _ in reversed(self.peeled):
-            full += (False, not full[x], True)
-        return full
+        return [model[x] if x >= 0 else not model[-x] for x in self.lits]
 
     def _model(self) -> list[bool | None]:
-        return [self.val[2 * v] for v in range(self.n + 1)]
+        return self.val[::2]
 
 
 def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assignment | None:
@@ -625,12 +617,16 @@ def generate_instance(
     return CnfFormula(num_vars, tuple(clauses))
 
 
+def _emit_witness(status: str, values: list[int]) -> str:
+    """SAT-solver style witness: `s` status line plus one 0-terminated `v` line of the values."""
+    return f"s {status}\nv " + " ".join(map(str, [*values, 0])) + "\n"
+
+
 def emit_nae_witness(witness: Assignment | None) -> str:
-    """SAT-solver style witness: `s` status line plus a 0-terminated `v` line."""
+    """`s NAE-SATISFIABLE` plus the witness's literals, or `s NAE-UNSATISFIABLE`."""
     if witness is None:
         return "s NAE-UNSATISFIABLE\n"
-    lits = [x if witness[x] else -x for x in sorted(witness)]
-    return "s NAE-SATISFIABLE\nv " + " ".join(str(x) for x in lits) + " 0\n"
+    return _emit_witness("NAE-SATISFIABLE", [x if witness[x] else -x for x in sorted(witness)])
 
 
 def _read_witness(text: str | bytes, found: str, none: str) -> tuple[bool, list[int]]:
@@ -655,19 +651,14 @@ def parse_nae_witness(text: str | bytes) -> Assignment | None:
         if var in witness and witness[var] != (lit > 0):
             raise FormatError(f"conflicting values for variable {var}")
         witness[var] = lit > 0
-    if not satisfiable:
-        return None
-    if not witness:
-        raise FormatError("satisfiable witness carries no `v` line")
-    return witness
+    return witness if satisfiable else None
 
 
 def emit_cut_witness(cut: Cut | None) -> str:
     """`s CUT-FOUND` plus the side-A vertex ids, or `s NO-CUT`."""
     if cut is None:
         return "s NO-CUT\n"
-    ids = " ".join(str(v) for v in sorted(cut.side_a))
-    return f"s CUT-FOUND\nv {ids} 0\n" if ids else "s CUT-FOUND\nv 0\n"
+    return _emit_witness("CUT-FOUND", sorted(cut.side_a))
 
 
 def parse_cut_witness(text: str | bytes, num_vertices: int) -> Cut | None:

@@ -154,6 +154,19 @@ def test_solve_nae_unsatisfiable(tmp_path, capsys):
     assert out == "s NAE-UNSATISFIABLE\n"
 
 
+def test_empty_nae_witness_round_trips(tmp_path, capsys):
+    # The formula without variables has the empty witness, written `v 0`
+    # like an empty cut side; it verifies there and nowhere with variables.
+    src = tmp_path / "empty.cnf"
+    src.write_text("p cnf 0 0\n")
+    witness_file = tmp_path / "wit.txt"
+    assert run(capsys, "solve-nae", str(src), "-o", str(witness_file)) == (0, "s NAE-SATISFIABLE\nv 0\n")
+    assert run(capsys, "verify", "assignment", str(src), str(witness_file)) == (0, "valid assignment\n")
+    src.write_text(K3_CNF)
+    assert main(["verify", "assignment", str(src), str(witness_file)]) == 2
+    assert capsys.readouterr() == ("", "error: assignment is missing variable 1\n")
+
+
 def test_solve_cut_found_and_not_found(tmp_path, capsys):
     k3 = tmp_path / "k3.graph"
     k3.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
@@ -365,6 +378,12 @@ def test_verify_coloring(tmp_path, capsys):
     assert run(capsys, "verify", "coloring", str(graph), str(cert)) == (
         1,
         "invalid: edge 2 3 is monochromatic\n",
+    )
+    # A proper colouring that also colours vertices the path lacks is invalid.
+    cert.write_text("k 2\n1 1\n2 2\n3 1\n99 7\n0 5\n")
+    assert run(capsys, "verify", "coloring", str(graph), str(cert)) == (
+        1,
+        "invalid: vertex 0 out of range 1..3\n",
     )
 
 

@@ -244,11 +244,15 @@ def test_colouring_fault_matches_a_naive_scan():
         n = 2 + seed % 9
         g = random_graph(seed, n, p=rng.choice((0.2, 0.4, 0.7)))
         k = rng.randint(2, 4)
-        # Mostly colours in 1..k; sometimes a vertex is left out or gets k + 1.
+        # Mostly colours in 1..k; sometimes a vertex is left out or gets k + 1,
+        # or a vertex the graph lacks is coloured.
         colours = {}
         for v in range(1, n + 1):
             if rng.random() < 0.9:
                 colours[v] = rng.randint(1, k) if rng.random() < 0.9 else k + 1
+        for v in (-1, 0, n + 1, n + 7):
+            if rng.random() < 0.1:
+                colours[v] = rng.randint(1, k)
         c = Colouring(colours, k)
         expected = next(
             (f"edge {u} {v} is monochromatic" for u, v in sorted(g.edges)
@@ -257,10 +261,13 @@ def test_colouring_fault_matches_a_naive_scan():
         )
         if expected is None and any(colours.get(v) not in range(1, k + 1) for v in range(1, n + 1)):
             expected = "colouring is partial or uses colours outside 1..k"
+        outside = sorted(v for v in colours if v not in range(1, n + 1))
+        if expected is None and outside:
+            expected = f"vertex {outside[0]} out of range 1..{n}"
         assert colouring_fault(g, c) == expected
         assert verify_colouring(g, c) == (expected is None)
         found.add(expected and expected.split()[0])
-    assert found == {None, "edge", "colouring"}
+    assert found == {None, "edge", "colouring", "vertex"}
 
 
 def test_max_degree():

@@ -295,9 +295,9 @@ def _traced_peak(num_vars, groups):
 
 
 def test_engine_peak_memory():
-    # The engine stores each triangle once, as one tuple of shared literal
-    # codes listed under its three variables.  On a formula that takes 482
-    # conflicts to refute (about 730 bytes per clause), the peak stays
+    # The engine stores each triangle once, as one tuple of literal codes
+    # listed under its three variables.  On a formula that takes 482
+    # conflicts to refute (about 720 bytes per clause), the peak stays
     # bounded because the decision heap is rebuilt before it outgrows 2n
     # entries (without that it reads about 2,700 bytes per clause).
     from naecut import build_graph
@@ -533,6 +533,27 @@ def test_apex_equalities_need_four_positive_groups():
         assert brute_force_nae(f) == naive_nae_smallest(f)
 
 
+def test_apex_equalities_keep_a_renumbered_reduction_graph_tractable():
+    # Numbered backwards, a reduction graph has no gadget interior on top,
+    # so nothing peels and only the apex scan can equate each gadget's two
+    # apexes.  With it the search takes about 800 decisions; without it
+    # about 45,000, over the budget.  The engine is built directly, since
+    # brute_force_cut's 2^n check refuses a graph this size at that budget.
+    from naecut import build_graph
+    from naecut.solvers import _NaeEngine
+
+    split, _ = split_repeated_variables(generate_instance(0, 64, 96))
+    g, rm = build_graph(split)
+    n = g.num_vertices
+    reversed_g = Graph(n, [(n + 1 - u, n + 1 - v) for u, v in g.edges])
+    engine = _NaeEngine(n, enumerate_triangles(reversed_g))
+    assert engine.merged == len(rm.clause_gadget) == 225
+    assert engine.eliminated == 0
+    model = engine.solve(5_000)
+    assert model is not None
+    assert verify_cut_triangle_free(reversed_g, Cut.from_side_a((v for v in range(1, n + 1) if model[v]), n))
+
+
 def test_presolve_leaves_the_original_variables_of_a_reduction_graph():
     # Peeling the gadget interiors and merging the copy chains leaves one
     # search variable per variable of the formula the graph was built from.
@@ -764,14 +785,15 @@ def test_witness_text_roundtrip():
     assert parse_nae_witness(b"s NAE-SATISFIABLE\nv -1 -2 3 0\n") == witness
     assert parse_cut_witness("c x\r\no 7\r\ns CUT-FOUND\r\n\r\nv 3 0\r\n", 3) == cut
     assert parse_cut_witness(b"s CUT-FOUND\nv 0\n", 3) == Cut(frozenset(), frozenset({1, 2, 3}))
+    # The empty witness is written `v 0` like an empty side; without a `v` line it reads the same.
+    assert emit_nae_witness({}) == "s NAE-SATISFIABLE\nv 0\n"
+    assert parse_nae_witness("s NAE-SATISFIABLE\nv 0\n") == parse_nae_witness("s NAE-SATISFIABLE\n") == {}
 
 
 def test_witness_parse_error_cases():
     for text in (
         "v 1 0\n",  # missing status line
         "s MAYBE\nv 1 0\n",  # unknown status line
-        "s NAE-SATISFIABLE\n",  # no `v` line
-        "s NAE-SATISFIABLE\nv 0\n",  # empty `v` line
         "s NAE-SATISFIABLE\nv 1 2 -1 0\n",  # conflicting values
         b"s NAE-SATISFIABLE\nv 1 \xff 0\n",  # bytes that are not UTF-8
         "",
