@@ -15,6 +15,7 @@ from collections import Counter
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
+    Assignment,
     emit_cnf,
     is_monotone_3sat,
     nae_fault,
@@ -160,18 +161,28 @@ def cmd_triangles(args) -> int:
     return 0
 
 
-def _assignment_fault(args) -> str | None:
-    f = parse_cnf(_read(args.object))
-    witness = parse_nae_witness(_read(args.certificate))
+def _read_assignment(path: str, num_vars: int, noun: str) -> Assignment:
+    """The NAE witness in `path`; ValueError (exit 2) unless it is over exactly 1..num_vars."""
+    witness = parse_nae_witness(_read(path))
     if witness is None:
-        raise FormatError("certificate carries no assignment")
+        raise FormatError(f"{noun} carries no assignment")
+    require_variables(witness, range(1, num_vars + 1))
+    top = max(witness, default=0)
+    if top > num_vars:
+        raise FormatError(f"variable {top} out of range 1..{num_vars}")
+    return witness
+
+
+def _assignment_fault(args) -> str | None:
+    if args.assignment:
+        raise FormatError("verify assignment does not read --assignment")
+    f = parse_cnf(_read(args.object))
+    witness = _read_assignment(args.certificate, f.num_vars, "certificate")
     if args.map:
         tm = parse_transform_map(_read(args.map))
         variables = range(1, f.num_vars + 1)
         if {y for copies in tm.replacements.values() for y in copies} != set(variables):
             raise FormatError("transform map does not describe this formula")
-        # A missing variable is a witness that does not fit (exit 2), not a broken chain.
-        require_variables(witness, variables)
         fault = chain_fault(tm, witness)
         if fault is not None:
             return fault
@@ -179,6 +190,8 @@ def _assignment_fault(args) -> str | None:
 
 
 def _cut_fault(args) -> str | None:
+    if args.assignment and not args.map:
+        raise FormatError("verify cut reads --assignment only with --map")
     g = parse_graph(_read(args.object))
     cut = parse_cut_witness(_read(args.certificate), g.num_vertices)
     if cut is None:
@@ -193,17 +206,15 @@ def _cut_fault(args) -> str | None:
         return None
     # Variable x is true iff it is on side A, as in cut_to_assignment, whose graph
     # rebuild and cut check would repeat cut_fault on g, which is the map's graph.
-    stated = parse_nae_witness(_read(args.assignment))
-    if stated is None:
-        raise FormatError("assignment certificate carries no assignment")
-    variables = range(1, rm.num_variables + 1)
-    require_variables(stated, variables)
+    stated = _read_assignment(args.assignment, rm.num_variables, "assignment certificate")
     side_a = cut.side_a
-    mismatched = [x for x in variables if stated[x] != (x in side_a)]
+    mismatched = [x for x in range(1, rm.num_variables + 1) if stated[x] != (x in side_a)]
     return f"cut disagrees with assignment on variables {mismatched}" if mismatched else None
 
 
 def _colouring_fault(args) -> str | None:
+    if args.map or args.assignment:
+        raise FormatError(f"verify coloring does not read --{'map' if args.map else 'assignment'}")
     g = parse_graph(_read(args.object))
     return colouring_fault(g, parse_colouring(_read(args.certificate)))
 

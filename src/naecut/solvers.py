@@ -17,9 +17,11 @@ values has one smallest completion, on which nothing earlier depends.
 Then a parity union-find merges the classes that 2-groups and apex
 equalities define into their smallest indices.  Two models first differ
 at a representative, so searching the representatives in index order
-keeps the smallest witness.  All search state lives in explicit lists,
-so depth is bounded by the budget, not by the interpreter's recursion
-limit.  A budget error is always distinct from "no solution exists".
+keeps the smallest witness.  The search sees one canonical order of the
+3-groups left, so a reduction graph and its formula are one search.
+All search state lives in explicit lists, so depth is bounded by the
+budget, not by the interpreter's recursion limit.  A budget error is
+always distinct from "no solution exists".
 """
 
 from __future__ import annotations
@@ -83,18 +85,16 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     (z, u, w) for two apexes z in {x, y} below a and the face's pairs
     {u, w}.  Every model then has x = y, and each value of x extends to
     a, b, c, so the seven groups give way to (x, -y).  Peeling stops at
-    the first triple that is not an interior.  The groups left keep their
-    input order, followed by the kept 2-groups.
+    the first triple that is not an interior.
     """
     # by_top[v]: the groups left whose largest variable is v.  While a, b, c
     # are the largest left, the groups holding any of them are exactly those
     # of by_top[a], by_top[b] and by_top[c]: each apex keeps a 2-group in
     # by_top of the larger apex, which is then also in the triple.
     by_top: list[list] = [[] for _ in range(num_vars + 1)]
-    tops = [max(map(abs, g)) for g in groups]
-    for t, g in zip(tops, groups):
-        by_top[t].append(g)
-    peeled, kept = [], []
+    for g in groups:
+        by_top[max(map(abs, g))].append(g)
+    peeled = []
     top = num_vars
     while top >= 5:
         abc = a, b, c = top - 2, top - 1, top
@@ -109,16 +109,16 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
         if faces != {abc, (x, a, b), (x, a, c), (x, b, c), (y, a, b), (y, a, c), (y, b, c)}:
             break
         by_top[y].append((x, -y))
-        kept.append((x, -y))
         peeled.append(x)
         top -= 3
-    return [g for t, g in zip(tops, groups) if t <= top] + kept, peeled
+    return [g for bucket in by_top[: top + 1] for g in bucket], peeled
 
 
 def _presolve(num_vars: int, groups: list):
     """Rewrite the groups onto the variables the search needs, or None when there is no model.
 
     Returns (m, 3-groups over 1..m, lits, the number of peeled variables).
+    The 3-groups come sorted, each by variable, with no duplicates.
     Input variable v takes the value of the signed search variable lits[v].
     A peeled interior a, b, c with apex x reads 1, -lits[x], -1: False,
     not x, True, the smallest completion once the search pins 1 False.
@@ -176,7 +176,8 @@ def _presolve(num_vars: int, groups: list):
     for i, v in enumerate(roots, 1):
         index[v] = i
     lits = [0] + [index[r] if r > 0 else -index[-r] for r in map(find, range(1, top + 1))]
-    triples = [tuple(lits[x] if x > 0 else -lits[-x] for x in g) for g in triples]
+    signed = (tuple(lits[x] if x > 0 else -lits[-x] for x in g) for g in triples)
+    triples = sorted({tuple(sorted(g, key=abs)) for g in signed})
     for x in reversed(peeled):
         lits += (1, -lits[x], -1)
     return len(roots), triples, lits, 3 * len(peeled)
@@ -209,7 +210,8 @@ class _NaeEngine:
     `__init__` takes groups of 2 or 3 literals over distinct variables and
     presolves them (`_presolve`): it peels trailing gadget interiors,
     merges the classes of the 2-groups and apex equalities, and keeps
-    only 3-groups over the `n` variables left.  `eliminated` counts the
+    only 3-groups over the `n` variables left, in one canonical order, so
+    a reduction graph runs its formula's search.  `eliminated` counts the
     peeled variables and `merged` those merged into a smaller index.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a

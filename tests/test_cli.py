@@ -276,6 +276,10 @@ def test_verify_assignment(tmp_path, capsys):
     )
     bad.write_text("s NAE-SATISFIABLE\nv 1 -2 -3 0\n")
     assert run(capsys, "verify", "assignment", str(src), str(bad)) == (2, "")
+    # So is one naming a variable the formula lacks.
+    bad.write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 99 0\n")
+    assert main(["verify", "assignment", str(src), str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: variable 99 out of range 1..4\n")
 
 
 def test_verify_assignment_equality_clause_violation(tmp_path, capsys):
@@ -592,6 +596,37 @@ def test_witness_missing_a_variable_is_exit_2_on_every_path(tmp_path, capsys, mo
     (tmp_path / "wit.txt").write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 0\n")
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: assignment is missing variable 6\n")
+    # With variable 6 the witness fits; naming variable 99 as well, it does
+    # not, as a cut naming a vertex outside the graph does not.
+    (tmp_path / "wit.txt").write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 -6 0\n")
+    assert main(argv) == 0
+    capsys.readouterr()
+    (tmp_path / "wit.txt").write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 -6 99 0\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: variable 99 out of range 1..6\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cut", "graph", "cut", "--assignment", "absent"], "verify cut reads --assignment only with --map"),
+        (["coloring", "graph", "col", "--map", "absent"], "verify coloring does not read --map"),
+        (["coloring", "graph", "col", "--assignment", "absent"], "verify coloring does not read --assignment"),
+        (["assignment", "split", "wit_split", "--assignment", "absent"],
+         "verify assignment does not read --assignment"),
+    ],
+    ids=["cut --assignment", "coloring --map", "coloring --assignment", "assignment --assignment"],
+)
+def test_verify_refuses_an_option_its_kind_never_reads(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in _planted_inputs(5, 6).items():
+        (tmp_path / name).write_bytes(data)
+    # Without the option the certificate is valid; with it, the option is
+    # named before any file is read, so its missing file is never opened.
+    noun = {"coloring": "colouring"}.get(argv[0], argv[0])
+    assert run(capsys, "verify", *argv[:3]) == (0, f"valid {noun}\n")
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _run_process(argv, cwd, address_space=None):
@@ -820,7 +855,10 @@ def _library_fault(kind, obj, cert):
         witness = parse_nae_witness(cert)
         if witness is None:
             raise FormatError("certificate carries no assignment")
-        return nae_fault(parse_cnf(obj), witness)
+        f = parse_cnf(obj)
+        if max(witness, default=0) > f.num_vars:
+            raise FormatError("variable out of range")
+        return nae_fault(f, witness)
     g = parse_graph(obj)
     if kind == "coloring":
         return colouring_fault(g, parse_colouring(cert))

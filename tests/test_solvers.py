@@ -484,25 +484,89 @@ def test_propagation_reaches_a_fixpoint_on_every_group():
     assert checks > 1000 and conflicts > 300 and negative >= 30
 
 
+_COUNTERS = ("decisions", "propagations", "conflicts", "learned", "solves", "max_depth")
+
+
+def _searched(num_vars, groups):
+    """(model, search counters, merged, eliminated) of one engine solve."""
+    from naecut.solvers import _NaeEngine
+
+    engine = _NaeEngine(num_vars, groups)
+    model = engine.solve(2**30)
+    return model, tuple(getattr(engine, k) for k in _COUNTERS), engine.merged, engine.eliminated
+
+
 def test_engine_counts_repeat_exactly():
     # The counters are plain attributes: the same formula gives the same
     # counts, and every trail literal the search processed is a propagation.
-    from naecut.solvers import _NaeEngine
-
     f = generate_instance(3, 100, 210)
     groups = [cl.literals for cl in f.clauses]
 
     def counts():
-        engine = _NaeEngine(100, groups)
-        assert engine.solve(2**30) is None
-        return tuple(getattr(engine, k) for k in (
-            "decisions", "propagations", "conflicts", "learned", "solves", "max_depth"
-        ))
+        model, counters, _, _ = _searched(100, groups)
+        assert model is None
+        return counters
 
     first = counts()
     assert first == counts()
     decisions, propagations, conflicts = first[:3]
     assert propagations > decisions > 0 and conflicts > 0
+
+
+def test_a_reduction_graph_and_its_formula_run_one_search():
+    # The presolve leaves a reduction graph exactly its formula's 3-groups,
+    # and the search sees them in one canonical order, so the graph and the
+    # formula run one search: the reduction's equivalence (arXiv 1003.3704)
+    # step for step, with equal counters and equal bits on 1..n.
+    from naecut import build_graph
+
+    answers = set()
+    for r in (1.5, 2.1):
+        for n in (30, 60, 100):
+            for seed in range(6):
+                f = generate_instance(seed, n, round(r * n))
+                g, _ = build_graph(split_repeated_variables(f)[0])
+                model, counters, _, _ = _searched(n, [cl.literals for cl in f.clauses])
+                graph_model, graph_counters, _, _ = _searched(g.num_vertices, enumerate_triangles(g))
+                assert graph_counters == counters, (r, n, seed)
+                assert (graph_model is None) == (model is None)
+                if model is not None:
+                    assert graph_model[1 : n + 1] == model[1 : n + 1]
+                cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
+                witness = brute_force_nae(f, exhaustive_budget(n))
+                assert (cut is None) == (witness is None)
+                if cut is not None:
+                    assert {x: x in cut.side_a for x in range(1, n + 1)} == witness
+                answers.add(witness is None)
+    assert answers == {False, True}
+
+
+def test_the_search_depends_only_on_the_set_of_groups():
+    # Shuffling the groups and the literals inside each gives the same
+    # model and the same counters, presolve counts included.  No shuffle
+    # repeats a group: a repeated gadget group refuses the peel.
+    inputs = []
+    for seed in range(4):
+        f = generate_instance(seed, 40, 84)
+        inputs.append((40, [cl.literals for cl in f.clauses]))
+        rng = random.Random(seed)
+        signed = [[v if rng.random() < 0.6 else -v for v in cl.literals] for cl in f.clauses[:70]]
+        pairs = {tuple(sorted(rng.sample(range(1, 41), 2))) for _ in range(5)}
+        inputs.append((40, signed + [[x, -y if rng.random() < 0.5 else y] for x, y in pairs]))
+        g = _reduction_graph(seed, 12 + 8 * seed)[1]
+        inputs.append((g.num_vertices, enumerate_triangles(g)))
+    rng = random.Random(2026)
+    answers = set()
+    eliminated = 0
+    for n, groups in inputs:
+        expected = _searched(n, groups)
+        for _ in range(3):
+            shuffled = [rng.sample(list(g), len(g)) for g in groups]
+            rng.shuffle(shuffled)
+            assert _searched(n, shuffled) == expected
+        answers.add(expected[0] is None)
+        eliminated += expected[3]
+    assert answers == {False, True} and eliminated > 0
 
 
 def test_apex_equalities_need_four_positive_groups():
