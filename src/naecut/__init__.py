@@ -11,7 +11,6 @@ from .formula import (
     Assignment,
     Clause,
     CnfFormula,
-    complement_assignment,
     emit_cnf,
     incidence_graph,
     is_monotone_3sat,

@@ -136,10 +136,6 @@ def nae_satisfies(f: CnfFormula, assignment: Assignment) -> bool:
     return nae_fault(f, assignment) is None
 
 
-def complement_assignment(assignment: Assignment) -> Assignment:
-    return {x: not v for x, v in assignment.items()}
-
-
 def occurrence_counts(f: CnfFormula) -> dict[int, int]:
     """Clause-membership count per variable, including zeroes for unused ones."""
     counts = {x: 0 for x in range(1, f.num_vars + 1)}

@@ -88,9 +88,6 @@ class Cut:
         side_a = frozenset(side_a)
         return Cut(side_a, frozenset(range(1, num_vertices + 1)) - side_a)
 
-    def swapped(self) -> "Cut":
-        return Cut(self.side_b, self.side_a)
-
 
 @dataclass(frozen=True)
 class Colouring:

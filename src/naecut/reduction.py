@@ -288,8 +288,6 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
             raise FormatError(f"{noun} {key} mapped twice")
         table[key] = build(values)
     n = len(variables)
-    if not n:
-        raise FormatError("no var lines found")
     if variables != {x: x for x in range(1, n + 1)}:
         raise FormatError(f"var lines must be 'var x x' for x = 1..{n}")
     ids = [n]

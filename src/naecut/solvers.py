@@ -37,6 +37,7 @@ from .formula import (
     incidence_graph,
     is_monotone_3sat,
     nae_satisfies,
+    require_variables,
 )
 from .graphs import (
     Colouring,
@@ -632,20 +633,27 @@ def emit_nae_witness(witness: Assignment | None) -> str:
 
 
 def _read_witness(text: str | bytes, found: str, none: str) -> tuple[bool, list[int]]:
-    """(last `s` status is `found`, not `none`; non-zero ints of all `v` lines); others ignored."""
+    """(last `s` status is `found`, not `none`; non-zero ints of all `v` lines).
+
+    A line's kind is its first token, exactly `s` or `v`; other lines are ignored.
+    """
     status = None
     values: list[int] = []
-    for line, _ in records(text):
-        if line.startswith("s "):
-            status = line[2:].strip()
-        elif line.startswith("v"):
-            values.extend(x for x in ints(line[1:].split(), "v line", line) if x)
-    if status not in (found, none):
+    for line, tokens in records(text):
+        if tokens[0] == "s":
+            status = tokens[1:]
+        elif tokens[0] == "v":
+            values.extend(x for x in ints(tokens[1:], "v line", line) if x)
+    if status not in ([found], [none]):
         raise FormatError("missing or unrecognized witness status line")
-    return status == found, values
+    return status == [found], values
 
 
-def parse_nae_witness(text: str | bytes) -> Assignment | None:
+def parse_nae_witness(text: str | bytes, num_vars: int) -> Assignment | None:
+    """The witness's assignment, or None for `s NAE-UNSATISFIABLE`.
+
+    ValueError unless a satisfiable witness assigns exactly the variables 1..num_vars.
+    """
     satisfiable, lits = _read_witness(text, "NAE-SATISFIABLE", "NAE-UNSATISFIABLE")
     witness: Assignment = {}
     for lit in lits:
@@ -653,7 +661,13 @@ def parse_nae_witness(text: str | bytes) -> Assignment | None:
         if var in witness and witness[var] != (lit > 0):
             raise FormatError(f"conflicting values for variable {var}")
         witness[var] = lit > 0
-    return witness if satisfiable else None
+    if not satisfiable:
+        return None
+    require_variables(witness, range(1, num_vars + 1))
+    top = max(witness, default=0)
+    if top > num_vars:
+        raise FormatError(f"variable {top} out of range 1..{num_vars}")
+    return witness
 
 
 def emit_cut_witness(cut: Cut | None) -> str:

@@ -190,12 +190,10 @@ def parse_transform_map(text: str | bytes) -> TransformMap:
         if copies[0] != x:
             raise FormatError(f"first copy of variable {x} must be {x} itself")
         replacements[x] = tuple(copies)
-    if not replacements:
-        raise FormatError("no map lines found")
-    n = max(replacements)
+    n = max(replacements, default=0)
     if sorted(replacements) != list(range(1, n + 1)):
         raise FormatError("map lines must cover variables 1..n")
     all_copies = [y for copies in replacements.values() for y in copies]
     if len(set(all_copies)) != len(all_copies):
         raise FormatError("replacement lists overlap")
-    return TransformMap(n, max(all_copies), replacements)
+    return TransformMap(n, max(all_copies, default=0), replacements)

@@ -339,7 +339,7 @@ def test_verify_cut_cross_checks_assignment_via_map(tmp_path, capsys):
     assert "reduction map does not describe this graph" in capsys.readouterr().err
 
     # An assignment with variable 1 flipped disagrees with the cut there alone.
-    wit = parse_nae_witness(wit_file.read_text())
+    wit = parse_nae_witness(wit_file.read_text(), 6)
     flipped = tmp_path / "flipped.txt"
     flipped.write_text(emit_nae_witness({**wit, 1: not wit[1]}))
     code, out = run(
@@ -474,6 +474,49 @@ def test_budget_variable_must_be_an_integer(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, cert, expected",
+    [
+        ("assignment", "s NAE-SATISFIABLE\nvalues follow\nv -1 -2 3 0\n", (0, "valid assignment\n")),
+        ("assignment", "s\tNAE-SATISFIABLE\nv -1 -2 3 0\n", (0, "valid assignment\n")),
+        ("assignment", "s NAE-SATISFIABLE\nv1 2 -3 0\n", (2, "error: assignment is missing variable 1\n")),
+        ("cut", "s CUT-FOUND\nvalues follow\nv 3 0\n", (0, "valid cut\n")),
+        ("cut", "s\tCUT-FOUND\nv 3 0\n", (0, "valid cut\n")),
+        ("cut", "s CUT-FOUND\nv3 0\n", (1, "invalid: one side of the cut is empty\n")),
+    ],
+    ids=["nae values line", "nae tab", "nae v1 line", "cut values line", "cut tab", "cut v3 line"],
+)
+def test_verify_reads_a_witness_line_by_its_first_token(tmp_path, capsys, monkeypatch, kind, cert, expected):
+    # Only a first token of exactly `s` or `v` makes a status or value line.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k3.cnf").write_text(K3_CNF)
+    (tmp_path / "k3.graph").write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    (tmp_path / "cert.txt").write_text(cert)
+    code = main(["verify", kind, "k3.cnf" if kind == "assignment" else "k3.graph", "cert.txt"])
+    out, err = capsys.readouterr()
+    assert (code, out + err) == expected
+
+
+def test_zero_variable_maps_read_back(tmp_path, capsys, monkeypatch):
+    # The formula without variables has empty maps; they describe it and nothing larger.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.cnf").write_text("p cnf 0 0\n")
+    assert run(capsys, "transform", "z.cnf", "-o", "s0.cnf", "--map", "m0.txt")[0] == 0
+    assert run(capsys, "reduce", "z.cnf", "--map", "r0.txt")[0] == 0
+    assert (tmp_path / "m0.txt").read_text() == (tmp_path / "r0.txt").read_text() == "\n"
+    assert run(capsys, "solve-nae", "s0.cnf", "-o", "w0.txt")[0] == 0
+    argv = ["verify", "assignment", "s0.cnf", "w0.txt", "--map", "m0.txt"]
+    assert run(capsys, *argv) == (0, "valid assignment\n")
+    (tmp_path / "k3.cnf").write_text(K3_CNF)
+    assert run(capsys, "solve-nae", "k3.cnf", "-o", "w.txt")[0] == 0
+    assert main(["verify", "assignment", "k3.cnf", "w.txt", "--map", "m0.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: transform map does not describe this formula\n")
+    assert run(capsys, "reduce", "k3.cnf", "-o", "k3.graph")[0] == 0
+    assert run(capsys, "solve-cut", "k3.graph", "-o", "cut.txt")[0] == 0
+    assert main(["verify", "cut", "k3.graph", "cut.txt", "--map", "r0.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: reduction map does not describe this graph\n")
+
+
 def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     src = tmp_path / "f.cnf"
     src.write_text(K3_CNF)
@@ -503,19 +546,10 @@ def test_roundtrip_rejects_a_negative_trial_count(capsys):
     assert capsys.readouterr() == ("", "error: trial count must be non-negative\n")
 
 
-def test_roundtrip_break_gadget_detects_failures(capsys):
+def test_roundtrip_break_gadget_detects_failures(capsys, monkeypatch):
     # n=4, m=6 guarantees repeated variables and therefore gadgets; trial 3
     # (one clause, no repeated variable) has no gadget to break.
     argv = ["roundtrip", "--seed", "5", "-n", "4", "-m", "6", "--trials", "6"]
-    assert run(capsys, *argv, "--break-gadget") == (1, (
-        "trial 0 seed 1539898300 n 4 m 6 FAIL gadget-triangles\n"
-        "trial 1 seed 3332716663 n 3 m 4 FAIL gadget-triangles\n"
-        "trial 2 seed 222708024 n 3 m 6 FAIL gadget-triangles\n"
-        "trial 3 seed 1596840319 n 3 m 1 ok\n"
-        "trial 4 seed 1635342798 n 4 m 2 FAIL gadget-triangles\n"
-        "trial 5 seed 1070867289 n 3 m 5 FAIL gadget-triangles\n"
-        "trials 6 passed 1 failed 5\n"
-    ))
     assert run(capsys, *argv) == (0, (
         "trial 0 seed 1539898300 n 4 m 6 ok\n"
         "trial 1 seed 3332716663 n 3 m 4 ok\n"
@@ -525,6 +559,30 @@ def test_roundtrip_break_gadget_detects_failures(capsys):
         "trial 5 seed 1070867289 n 3 m 5 ok\n"
         "trials 6 passed 6 failed 0\n"
     ))
+
+    # Without edge (a, b) a gadget's interior lies in too few triangles, and
+    # the cut found on the broken graph is no triangle-free cut of the real one.
+    def build_broken_graph(f):
+        g, rm = build_graph(f)
+        for gadget in rm.clause_gadget.values():
+            g = g.without_edge(gadget.a, gadget.b)
+        return g, rm
+
+    monkeypatch.setattr(cli, "build_graph", build_broken_graph)
+    assert run(capsys, *argv) == (1, (
+        "trial 0 seed 1539898300 n 4 m 6 FAIL gadget-triangles,cut-witness\n"
+        "trial 1 seed 3332716663 n 3 m 4 FAIL gadget-triangles,cut-witness\n"
+        "trial 2 seed 222708024 n 3 m 6 FAIL gadget-triangles,cut-witness\n"
+        "trial 3 seed 1596840319 n 3 m 1 ok\n"
+        "trial 4 seed 1635342798 n 4 m 2 FAIL gadget-triangles,cut-witness\n"
+        "trial 5 seed 1070867289 n 3 m 5 FAIL gadget-triangles,cut-witness\n"
+        "trials 6 passed 1 failed 5\n"
+    ))
+    # `roundtrip` has no option that breaks gadgets.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--break-gadget"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --break-gadget" in capsys.readouterr().err
 
 
 def _nth_call(n, result):
@@ -804,8 +862,7 @@ def _roundtrip_argv(rng):
     args = {"--seed": str(rng.randrange(100)), "-n": "6", "-m": "5", "--trials": "2"}
     key = rng.choice(list(args))
     args[key] = rng.choice(("-1", "0", "1", "2", "3", "4", "x", ""))
-    argv = ["roundtrip"] + [tok for pair in args.items() for tok in pair]
-    return argv + (["--break-gadget"] if rng.random() < 0.3 else [])
+    return ["roundtrip"] + [tok for pair in args.items() for tok in pair]
 
 
 def test_cli_survives_mutated_inputs(tmp_path, capsys, monkeypatch):
@@ -852,12 +909,10 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys, monkeypatch):
 def _library_fault(kind, obj, cert):
     """The fault the library names for a certificate, as `verify` must print it."""
     if kind == "assignment":
-        witness = parse_nae_witness(cert)
+        f = parse_cnf(obj)
+        witness = parse_nae_witness(cert, f.num_vars)
         if witness is None:
             raise FormatError("certificate carries no assignment")
-        f = parse_cnf(obj)
-        if max(witness, default=0) > f.num_vars:
-            raise FormatError("variable out of range")
         return nae_fault(f, witness)
     g = parse_graph(obj)
     if kind == "coloring":

@@ -219,7 +219,7 @@ def test_monochromatic_triangle_matches_naive_scan():
         for cut in cuts:
             expected = next((t for t in triangles if len({v in cut.side_a for v in t}) == 1), None)
             assert find_monochromatic_triangle(g, cut) == expected
-            assert find_monochromatic_triangle(g, cut.swapped()) == expected
+            assert find_monochromatic_triangle(g, Cut(cut.side_b, cut.side_a)) == expected
             # cut_fault names an empty side first, then the first monochromatic triangle.
             if not cut.side_a or not cut.side_b:
                 fault = "one side of the cut is empty"
@@ -227,7 +227,7 @@ def test_monochromatic_triangle_matches_naive_scan():
                 fault = f"monochromatic triangle {expected[0]} {expected[1]} {expected[2]}"
             else:
                 fault = None
-            assert cut_fault(g, cut) == cut_fault(g, cut.swapped()) == fault
+            assert cut_fault(g, cut) == cut_fault(g, Cut(cut.side_b, cut.side_a)) == fault
             found.add(fault and fault.split()[0])
             if cut.side_a and len(cut.side_b) > 1:
                 v = min(cut.side_b)
@@ -348,5 +348,5 @@ def test_cut_verification_is_side_symmetric():
         g = random_graph(seed, 6)
         cut = random_cut(random.Random(seed + 1000), 6)
         assert verify_cut_triangle_free(g, cut) == verify_cut_triangle_free(
-            g, cut.swapped()
+            g, Cut(cut.side_b, cut.side_a)
         )

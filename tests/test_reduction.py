@@ -126,6 +126,10 @@ def test_reduction_map_serialization_roundtrip():
         split, _ = split_repeated_variables(generate_instance(seed, 4 + seed, 3 + 2 * seed))
         text = emit_reduction_map(build_graph(split)[1])
         assert emit_reduction_map(parse_reduction_map(text)) == text
+    # The 0-variable map is empty and reads back.
+    rm = build_graph(CnfFormula.from_ints(0, []))[1]
+    assert emit_reduction_map(rm) == "\n"
+    assert parse_reduction_map("\n") == parse_reduction_map("") == rm
 
 
 def test_reduction_map_parse_errors():
@@ -141,10 +145,8 @@ def test_reduction_map_parse_errors():
         "var 2 2\n",  # variables start at 1
         "var 1 1\ntri 1 1 2 3\ntri 1 1 2 3\n",  # clause mapped twice
         "var 1 1\ngad 1 1 2 3 4 5\ngad 1 1 2 3 4 5\n",  # clause mapped twice
-        "tri 1 1 2 3\n",  # no var lines
         "var 1 x\n",  # non-integer
         b"var 1 1\ntri 1 1 2 \xff\n",  # bytes that are not UTF-8
-        "",
     ):
         with pytest.raises(FormatError):
             parse_reduction_map(text)
@@ -156,8 +158,9 @@ def test_text_formats_roundtrip_on_reduction_outputs():
     def variants(text):
         return (text, "c note\r\n" + text.replace("\n", "\r\n"), text.encode())
 
-    for seed in range(8):
-        f = generate_instance(seed, 4 + seed, 3 + 2 * seed)
+    formulas = [CnfFormula.from_ints(0, [])]
+    formulas += [generate_instance(seed, 4 + seed, 3 + 2 * seed) for seed in range(8)]
+    for f in formulas:
         split, tm = split_repeated_variables(f)
         g, rm = build_graph(split)
         colouring = construct_5_colouring(g, rm)
@@ -166,7 +169,8 @@ def test_text_formats_roundtrip_on_reduction_outputs():
         lifted = None
         if witness is not None:
             lifted = lift_assignment(tm, witness)
-            cut = assignment_to_cut(split, rm, lifted)
+            # The 0-variable formula's graph has no vertex, so no cut.
+            cut = assignment_to_cut(split, rm, lifted) if f.num_vars else None
         for text in variants(emit_cnf(split)):
             assert parse_cnf(text) == split
         for text in variants(emit_transform_map(tm)):
@@ -180,7 +184,7 @@ def test_text_formats_roundtrip_on_reduction_outputs():
         for text in variants(emit_colouring(colouring)):
             assert parse_colouring(text) == colouring
         for text in variants(emit_nae_witness(lifted)):
-            assert parse_nae_witness(text) == lifted
+            assert parse_nae_witness(text, split.num_vars) == lifted
         for text in variants(emit_cut_witness(cut)):
             assert parse_cut_witness(text, g.num_vertices) == cut
 

@@ -835,8 +835,8 @@ def test_witness_text_roundtrip():
     witness = {1: False, 2: False, 3: True}
     text = emit_nae_witness(witness)
     assert text == "s NAE-SATISFIABLE\nv -1 -2 3 0\n"
-    assert parse_nae_witness(text) == witness
-    assert parse_nae_witness(emit_nae_witness(None)) is None
+    assert parse_nae_witness(text, 3) == witness
+    assert parse_nae_witness(emit_nae_witness(None), 3) is None
 
     cut = Cut(frozenset({3}), frozenset({1, 2}))
     text = emit_cut_witness(cut)
@@ -844,14 +844,41 @@ def test_witness_text_roundtrip():
     assert parse_cut_witness(text, 3) == cut
     assert parse_cut_witness(emit_cut_witness(None), 3) is None
 
-    # Comments, CRLF, bytes and lines other than `s`/`v` are accepted.
-    assert parse_nae_witness("c x\r\no 7\r\ns NAE-SATISFIABLE\r\nv -1 -2\r\nv 3 0\r\n") == witness
-    assert parse_nae_witness(b"s NAE-SATISFIABLE\nv -1 -2 3 0\n") == witness
-    assert parse_cut_witness("c x\r\no 7\r\ns CUT-FOUND\r\n\r\nv 3 0\r\n", 3) == cut
+    # Comments, CRLF, bytes and lines other than `s`/`v` are accepted.  A line's
+    # kind is its first token, exactly `s` or `v`: `v1 ...` and `values ...`
+    # are ignored like any other line, and a tab may follow `s`.
+    for nae_text, cut_text in (
+        (
+            "c x\r\no 7\r\ns NAE-SATISFIABLE\r\nv -1 -2\r\nv 3 0\r\n",
+            "c x\r\no 7\r\ns CUT-FOUND\r\n\r\nv 3 0\r\n",
+        ),
+        (b"s NAE-SATISFIABLE\nv -1 -2 3 0\n", b"s CUT-FOUND\nv 3 0\n"),
+        ("s NAE-SATISFIABLE\nvalues follow\nv -1 -2 3 0\n", "s CUT-FOUND\nvalues follow\nv 3 0\n"),
+        ("s NAE-SATISFIABLE\nv1 1 1 0\nv -1 -2 3 0\n", "s CUT-FOUND\nv1 1 2 0\nv 3 0\n"),
+        ("s\tNAE-SATISFIABLE\nv -1 -2 3 0\n", "s\tCUT-FOUND\nv 3 0\n"),
+    ):
+        assert parse_nae_witness(nae_text, 3) == witness
+        assert parse_cut_witness(cut_text, 3) == cut
+    assert parse_cut_witness("s CUT-FOUND\nv3 0\n", 3) == Cut(frozenset(), frozenset({1, 2, 3}))
     assert parse_cut_witness(b"s CUT-FOUND\nv 0\n", 3) == Cut(frozenset(), frozenset({1, 2, 3}))
     # The empty witness is written `v 0` like an empty side; without a `v` line it reads the same.
     assert emit_nae_witness({}) == "s NAE-SATISFIABLE\nv 0\n"
-    assert parse_nae_witness("s NAE-SATISFIABLE\nv 0\n") == parse_nae_witness("s NAE-SATISFIABLE\n") == {}
+    assert parse_nae_witness("s NAE-SATISFIABLE\nv 0\n", 0) == parse_nae_witness("s NAE-SATISFIABLE\n", 0) == {}
+
+
+def test_nae_witness_must_assign_exactly_the_variables():
+    # The missing variable is named first, then the largest one beyond num_vars.
+    with pytest.raises(ValueError, match="^assignment is missing variable 2$"):
+        parse_nae_witness("s NAE-SATISFIABLE\nv 1 -3 9 0\n", 3)
+    with pytest.raises(FormatError, match=r"^variable 99 out of range 1\.\.4$"):
+        parse_nae_witness("s NAE-SATISFIABLE\nv -1 -2 3 -4 99 5 0\n", 4)
+    with pytest.raises(FormatError, match=r"^variable 1 out of range 1\.\.0$"):
+        parse_nae_witness("s NAE-SATISFIABLE\nv 1 0\n", 0)
+    # A `v1 ...` line carries no values, so the witness it seems to hold is missing.
+    with pytest.raises(ValueError, match="^assignment is missing variable 1$"):
+        parse_nae_witness("s NAE-SATISFIABLE\nv1 2 -3 0\n", 3)
+    # An unsatisfiable witness assigns nothing, whatever its `v` lines say.
+    assert parse_nae_witness("s NAE-UNSATISFIABLE\nv 7 0\n", 3) is None
 
 
 def test_witness_parse_error_cases():
@@ -863,7 +890,7 @@ def test_witness_parse_error_cases():
         "",
     ):
         with pytest.raises(FormatError):
-            parse_nae_witness(text)
+            parse_nae_witness(text, 3)
     for text in (
         "v 1 0\n",  # missing status line
         "s MAYBE\nv 1 0\n",  # unknown status line
@@ -878,7 +905,7 @@ def test_witness_parse_error_cases():
 
 def test_witness_parsers_reject_non_integer_tokens():
     with pytest.raises(FormatError):
-        parse_nae_witness("s NAE-SATISFIABLE\nv 1 x 0\n")
+        parse_nae_witness("s NAE-SATISFIABLE\nv 1 x 0\n", 3)
     with pytest.raises(FormatError):
         parse_cut_witness("s CUT-FOUND\nv 1 x 0\n", 3)
 

@@ -227,11 +227,13 @@ def test_map_serialization_roundtrip():
     assert tm.replacements == {1: (1, 3), 2: (2,)}
     assert (tm.num_original_vars, tm.num_output_vars) == (2, 3)
     assert parse_transform_map(text.encode()).replacements == tm.replacements
+    # The 0-variable map is empty and reads back; so does a text without `map` lines.
+    _, tm = split_repeated_variables(CnfFormula.from_ints(0, []))
+    assert emit_transform_map(tm) == "\n"
+    assert parse_transform_map("\n") == parse_transform_map("no map lines here\n") == tm
 
 
 def test_map_parse_errors():
-    with pytest.raises(FormatError):
-        parse_transform_map("no map lines here\n")
     with pytest.raises(FormatError):
         parse_transform_map("map 1 1\nmap 1 1\n")
     with pytest.raises(FormatError):
