@@ -68,8 +68,8 @@ from .transform import (
 )
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -175,8 +175,7 @@ def _assignment_fault(args) -> str | None:
     witness = _read_assignment(args.certificate, f.num_vars, "certificate")
     if args.map:
         tm = parse_transform_map(_read(args.map))
-        variables = range(1, f.num_vars + 1)
-        if {y for copies in tm.replacements.values() for y in copies} != set(variables):
+        if {y for copies in tm.values() for y in copies} != set(range(1, f.num_vars + 1)):
             raise FormatError("transform map does not describe this formula")
         fault = chain_fault(tm, witness)
         if fault is not None:

@@ -41,9 +41,6 @@ class Gadget:
     def internal_vertices(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def vertices(self) -> tuple[int, ...]:
-        return (self.x, self.y, self.a, self.b, self.c)
-
     def edge_list(self) -> list[tuple[int, int]]:
         x, y, a, b, c = self.x, self.y, self.a, self.b, self.c
         return [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b), (b, c), (a, c)]
@@ -290,10 +287,19 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
     n = len(variables)
     if variables != {x: x for x in range(1, n + 1)}:
         raise FormatError(f"var lines must be 'var x x' for x = 1..{n}")
-    ids = [n]
-    ids += [v for tri in clause_triangle.values() for v in tri]
-    ids += [v for gadget in clause_gadget.values() for v in gadget.vertices()]
-    num_vertices = max(ids)
+    # As build_graph numbers them: triangle vertices and gadget apexes are variables, gadget
+    # interiors lie above them.  Generators: a list of live tuples sets off garbage collections.
+    num_vertices = n
+    triangles = ((ci, tri, ()) for ci, tri in clause_triangle.items())
+    gadgets = ((ci, (gd.x, gd.y), gd.internal_vertices()) for ci, gd in clause_gadget.items())
+    for ci, variable_ids, fresh_ids in itertools.chain(triangles, gadgets):
+        for v in variable_ids:
+            if not 1 <= v <= n:
+                raise FormatError(f"clause {ci} names vertex {v}, not a variable 1..{n}")
+        for v in fresh_ids:
+            if v <= n:
+                raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not above {n}")
+            num_vertices = max(num_vertices, v)
     if num_vertices > MAX_COUNT:
         raise FormatError(f"vertex id {num_vertices} exceeds the limit of {MAX_COUNT}")
     return ReductionMap(

@@ -24,13 +24,8 @@ from .formula import (
 from .textio import MAX_COUNT, ints, lines
 
 
-@dataclass(frozen=True)
-class TransformMap:
-    """Links original variables to their per-occurrence copies; x is its own first copy."""
-
-    num_original_vars: int
-    num_output_vars: int
-    replacements: dict[int, tuple[int, ...]]
+# Original variable x -> its per-occurrence copies, x itself first.
+TransformMap = dict[int, tuple[int, ...]]
 
 
 def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
@@ -48,22 +43,17 @@ def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
     counts = occurrence_counts(f)
     n = f.num_vars
 
-    replacements: dict[int, tuple[int, ...]] = {}
+    tm: TransformMap = {}
     next_fresh = n + 1
     for x in range(1, n + 1):
         extra = max(counts[x] - 1, 0)
-        replacements[x] = (x, *range(next_fresh, next_fresh + extra))
+        tm[x] = (x, *range(next_fresh, next_fresh + extra))
         next_fresh += extra
 
-    copies_left = {x: iter(copies) for x, copies in replacements.items()}
+    copies_left = {x: iter(copies) for x, copies in tm.items()}
     prime = [Clause(tuple(next(copies_left[x]) for x in clause.literals)) for clause in f.clauses]
-    equality = [
-        Clause((y, -z)) for copies in replacements.values() for y, z in itertools.pairwise(copies)
-    ]
-
-    out = CnfFormula(next_fresh - 1, tuple(prime + equality))
-    tm = TransformMap(n, next_fresh - 1, replacements)
-    return out, tm
+    equality = [Clause((y, -z)) for copies in tm.values() for y, z in itertools.pairwise(copies)]
+    return CnfFormula(next_fresh - 1, tuple(prime + equality)), tm
 
 
 @dataclass(frozen=True)
@@ -130,17 +120,17 @@ def check_properties(f: CnfFormula) -> PropertyReport:
 
 def lift_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     """Extend an assignment of the original formula to all copies."""
-    originals = range(1, tm.num_original_vars + 1)
+    originals = range(1, len(tm) + 1)
     require_variables(assignment, originals)
-    return {y: assignment[x] for x in originals for y in tm.replacements[x]}
+    return {y: assignment[x] for x in originals for y in tm[x]}
 
 
 def chain_fault(tm: TransformMap, assignment: Assignment) -> str | None:
     """Name the first variable whose copies disagree, breaking its equality chain, or None."""
-    originals = range(1, tm.num_original_vars + 1)
-    require_variables(assignment, (y for x in originals for y in tm.replacements[x]))
+    originals = range(1, len(tm) + 1)
+    require_variables(assignment, (y for x in originals for y in tm[x]))
     for x in originals:
-        if len({assignment[y] for y in tm.replacements[x]}) != 1:
+        if len({assignment[y] for y in tm[x]}) != 1:
             return f"equality chain violated: copies of variable {x} disagree"
     return None
 
@@ -153,16 +143,13 @@ def project_assignment(tm: TransformMap, assignment: Assignment) -> Assignment:
     fault = chain_fault(tm, assignment)
     if fault is not None:
         raise ValueError(fault)
-    return {x: assignment[x] for x in range(1, tm.num_original_vars + 1)}
+    return {x: assignment[x] for x in range(1, len(tm) + 1)}
 
 
 def emit_transform_map(tm: TransformMap) -> str:
     """One `map <orig> <y1> <y2> ...` line per original variable."""
-    lines = []
-    for x in range(1, tm.num_original_vars + 1):
-        copies = " ".join(str(y) for y in tm.replacements[x])
-        lines.append(f"map {x} {copies}")
-    return "\n".join(lines) + "\n"
+    rows = [f"map {x} {' '.join(map(str, tm[x]))}" for x in range(1, len(tm) + 1)]
+    return "\n".join(rows) + "\n"
 
 
 def transform_map_comments(tm: TransformMap) -> str:
@@ -171,29 +158,31 @@ def transform_map_comments(tm: TransformMap) -> str:
 
 
 def parse_transform_map(text: str | bytes) -> TransformMap:
-    """Read `map ...` lines, bare or embedded as `c map ...` DIMACS comments."""
-    replacements: dict[int, tuple[int, ...]] = {}
+    """Read the lines whose first token is `map`, or `c` then `map` (a DIMACS comment)."""
+    tm: TransformMap = {}
     for line in lines(text):
-        if line.startswith("c "):
-            line = line[2:].strip()
-        if not line.startswith("map "):
+        if line[0] not in "cm":  # not a map line: spares splitting every CNF clause line
             continue
-        parts = line.split()
-        if len(parts) < 3:
+        tokens = line.split()
+        if tokens[0] == "c":
+            tokens, line = tokens[1:], line[1:].lstrip()
+        if tokens[:1] != ["map"]:
+            continue
+        if len(tokens) < 3:
             raise FormatError(f"malformed map line: {line!r}")
-        x, *copies = ints(parts[1:], "map line", line)
+        x, *copies = ints(tokens[1:], "map line", line)
         for y in copies:
             if not 1 <= y <= MAX_COUNT:
                 raise FormatError(f"copy {y} of variable {x} out of range 1..{MAX_COUNT}")
-        if x in replacements:
+        if x in tm:
             raise FormatError(f"variable {x} mapped twice")
         if copies[0] != x:
             raise FormatError(f"first copy of variable {x} must be {x} itself")
-        replacements[x] = tuple(copies)
-    n = max(replacements, default=0)
-    if sorted(replacements) != list(range(1, n + 1)):
+        tm[x] = tuple(copies)
+    # Each key is its own first copy, so positive: the keys are 1..n iff n is their maximum.
+    if max(tm, default=0) != len(tm):
         raise FormatError("map lines must cover variables 1..n")
-    all_copies = [y for copies in replacements.values() for y in copies]
+    all_copies = [y for copies in tm.values() for y in copies]
     if len(set(all_copies)) != len(all_copies):
         raise FormatError("replacement lists overlap")
-    return TransformMap(n, max(all_copies, default=0), replacements)
+    return tm

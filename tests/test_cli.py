@@ -13,8 +13,11 @@ import naecut
 from naecut import (
     CnfFormula,
     FormatError,
+    Gadget,
+    Graph,
     PropertyReport,
     assignment_to_cut,
+    brute_force_cut,
     build_graph,
     canonical_gadget,
     complete_graph,
@@ -409,6 +412,20 @@ def test_verify_assignment_through_the_transform_map(tmp_path, capsys):
     )
 
 
+def test_verify_assignment_reads_a_tab_separated_map(tmp_path, capsys, monkeypatch):
+    # A map line is one whose first token is `map`, or `c` and then `map`.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.cnf").write_text(SPLIT_CNF)
+    assert run(capsys, "transform", "in.cnf", "-o", "split.cnf", "--map", "tmap.txt")[0] == 0
+    (tmp_path / "wit.txt").write_text("s NAE-SATISFIABLE\nv -1 -2 3 -4 5 -6 0\n")
+    tabbed = (tmp_path / "tmap.txt").read_text().replace(" ", "\t")
+    (tmp_path / "tab.txt").write_text(tabbed)
+    (tmp_path / "ctab.txt").write_text("".join(f"c\t{line}\n" for line in tabbed.splitlines()))
+    for tmap in ("tab.txt", "ctab.txt"):
+        argv = ("verify", "assignment", "split.cnf", "wit.txt", "--map", tmap)
+        assert run(capsys, *argv) == (0, "valid assignment\n")
+
+
 @pytest.mark.parametrize(
     "cnf, tmap, witness",
     [
@@ -451,6 +468,30 @@ def test_verify_rejects_certificates_that_carry_no_witness(tmp_path, capsys):
     argv = ["verify", "cut", str(graph), str(cut), "--map", str(rmap), "--assignment", str(unsat)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: assignment certificate carries no assignment\n")
+
+
+def test_verify_cut_refuses_a_map_no_reduction_writes(tmp_path, capsys, monkeypatch):
+    # The map's triangle names vertex 7 and its gadget apex 9, neither a variable
+    # 1..2.  Its own graph, that graph's smallest cut and the witness read off the
+    # cut once made `verify cut` print `valid cut`.
+    monkeypatch.chdir(tmp_path)
+    gadget = Gadget(9, 2, 3, 4, 5)
+    g = Graph(9, [(1, 2), (1, 7), (2, 7), *gadget.edge_list()])
+    cut = brute_force_cut(g)
+    (tmp_path / "g.col").write_text(emit_graph(g))
+    (tmp_path / "cut.txt").write_text(emit_cut_witness(cut))
+    (tmp_path / "w.txt").write_text(emit_nae_witness({x: x in cut.side_a for x in (1, 2)}))
+    (tmp_path / "m.txt").write_text("var 1 1\nvar 2 2\ntri 1 1 2 7\ngad 2 9 2 3 4 5\n")
+    assert main(["verify", "cut", "g.col", "cut.txt", "--map", "m.txt", "--assignment", "w.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: clause 1 names vertex 7, not a variable 1..2\n")
+
+
+def test_input_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    src = tmp_path / "in.cnf"
+    src.write_bytes(b"p cnf 3 1\n1 2 3 0\nc \xff\n")
+    assert main(["solve-nae", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("error: input is not UTF-8: ")) == ("", True), err
 
 
 def test_color_writes_the_certificate(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -97,7 +98,8 @@ def test_every_triangle_is_a_clause_triangle_or_inside_one_gadget():
         g, rm = build_graph(out)
         clause_triangles = set(rm.clause_triangle.values())
         gadget_vertex_sets = [
-            frozenset(gadget.vertices()) for gadget in rm.clause_gadget.values()
+            frozenset((gadget.x, gadget.y, *gadget.internal_vertices()))
+            for gadget in rm.clause_gadget.values()
         ]
         for tri in enumerate_triangles(g):
             inside_gadget = any(set(tri) <= vs for vs in gadget_vertex_sets)
@@ -133,23 +135,46 @@ def test_reduction_map_serialization_roundtrip():
 
 
 def test_reduction_map_parse_errors():
-    for text in (
-        "var 1 1\nedge 1 2\n",  # unknown map line
-        "var 1\n",  # var arity
-        "var 1 1\ntri 1 1 2\n",  # tri arity
-        "var 1 1\ngad 1 1 2 3 4\n",  # gad arity
-        "var 1 1\nvar 1 2\n",  # variable mapped twice
-        "var 1 2\n",  # variable x is vertex x
-        "var 1 1\nvar 2 1\n",  # variable x is vertex x
-        "var 1 1\nvar 3 3\n",  # gap in the variables
-        "var 2 2\n",  # variables start at 1
-        "var 1 1\ntri 1 1 2 3\ntri 1 1 2 3\n",  # clause mapped twice
-        "var 1 1\ngad 1 1 2 3 4 5\ngad 1 1 2 3 4 5\n",  # clause mapped twice
-        "var 1 x\n",  # non-integer
-        b"var 1 1\ntri 1 1 2 \xff\n",  # bytes that are not UTF-8
+    for text, message in (
+        ("var 1 1\nedge 1 2\n", "unrecognized map line: 'edge 1 2'"),
+        ("var 1\n", "malformed var line: 'var 1'"),
+        ("var 1 1\ntri 1 1 2\n", "malformed tri line: 'tri 1 1 2'"),
+        ("var 1 1\ngad 1 1 2 3 4\n", "malformed gad line: 'gad 1 1 2 3 4'"),
+        ("var 1 1\nvar 1 2\n", "variable 1 mapped twice"),
+        ("var 1 2\n", "var lines must be 'var x x' for x = 1..1"),  # variable x is vertex x
+        ("var 1 1\nvar 2 1\n", "var lines must be 'var x x' for x = 1..2"),
+        ("var 1 1\nvar 3 3\n", "var lines must be 'var x x' for x = 1..2"),  # gap
+        ("var 2 2\n", "var lines must be 'var x x' for x = 1..1"),  # variables start at 1
+        ("var 1 1\ntri 1 1 2 3\ntri 1 1 2 3\n", "clause 1 mapped twice"),
+        ("var 1 1\ngad 1 1 2 3 4 5\ngad 1 1 2 3 4 5\n", "clause 1 mapped twice"),
+        ("var 1 x\n", "malformed var line: 'var 1 x'"),
+        (b"var 1 1\ntri 1 1 2 \xff\n", "input is not UTF-8: "),
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
             parse_reduction_map(text)
+
+
+# Triangle (1, 2, 7) names vertex 7, which is no variable; the gadget has apex 9.
+UNWRITTEN_MAP = "var 1 1\nvar 2 2\ntri 1 1 2 7\ngad 2 9 2 3 4 5\n"
+
+
+def test_reduction_map_ids_are_those_a_reduction_writes():
+    # Triangle vertices and gadget apexes are variables 1..n, gadget interiors lie
+    # above n; the check runs after every line is read, so a `var` line may come last.
+    for text, message in (
+        (UNWRITTEN_MAP, "clause 1 names vertex 7, not a variable 1..2"),
+        ("tri 1 1 2 7\nvar 1 1\nvar 2 2\n", "clause 1 names vertex 7, not a variable 1..2"),
+        ("var 1 1\nvar 2 2\ngad 2 9 2 3 4 5\n", "clause 2 names vertex 9, not a variable 1..2"),
+        ("var 1 1\nvar 2 2\ngad 2 1 0 3 4 5\n", "clause 2 names vertex 0, not a variable 1..2"),
+        ("var 1 1\nvar 2 2\ngad 3 1 2 3 2 5\n", "clause 3 puts vertex 2 inside its gadget, not above 2"),
+        ("var 1 1\nvar 2 2\ngad 3 1 2 3 4 -5\n", "clause 3 puts vertex -5 inside its gadget, not above 2"),
+        ("tri 1 1 2 3\n", "clause 1 names vertex 1, not a variable 1..0"),
+    ):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_reduction_map(text)
+    # A map that keeps the rule reads back whatever the order of its lines.
+    rm = parse_reduction_map("gad 2 1 2 3 4 5\nvar 1 1\nvar 2 2\n")
+    assert (rm.num_variables, rm.num_vertices) == (2, 5)
 
 
 def test_text_formats_roundtrip_on_reduction_outputs():
@@ -174,9 +199,9 @@ def test_text_formats_roundtrip_on_reduction_outputs():
         for text in variants(emit_cnf(split)):
             assert parse_cnf(text) == split
         for text in variants(emit_transform_map(tm)):
-            assert parse_transform_map(text).replacements == tm.replacements
+            assert parse_transform_map(text) == tm
         for text in variants(transform_map_comments(tm)):
-            assert parse_transform_map(text).replacements == tm.replacements
+            assert parse_transform_map(text) == tm
         for text in variants(emit_graph(g)):
             assert parse_graph(text) == g
         for text in variants(emit_reduction_map(rm)):

@@ -167,9 +167,14 @@ def test_engine_activity_rescale_keeps_the_witness():
 
 
 def test_nae_budget_precheck_and_distinction():
+    # The up-front check counts 2^n candidate assignments: a budget of exactly
+    # that many passes it, one state less does not.
     f = CnfFormula.from_ints(6, [[1, 2, 3]])
-    with pytest.raises(BudgetExceeded):
-        brute_force_nae(f, SearchBudget(max_states=32))
+    assert brute_force_nae(f, SearchBudget(max_states=64)) is not None
+    for cap in (63, 32):
+        message = f"^2\\^6 candidate assignments exceed the budget of {cap} states$"
+        with pytest.raises(BudgetExceeded, match=message):
+            brute_force_nae(f, SearchBudget(max_states=cap))
 
 
 def test_cut_k3():
@@ -205,8 +210,13 @@ def test_cut_agrees_with_enumeration_oracle():
 
 
 def test_cut_budget_precheck():
-    with pytest.raises(BudgetExceeded):
-        brute_force_cut(complete_graph(10), SearchBudget(max_states=256))
+    # Vertex 1 is pinned, so the check counts 2^(n-1) candidate cuts.
+    assert brute_force_cut(complete_graph(10), SearchBudget(max_states=512)) is None
+    assert brute_force_cut(complete_graph(4), SearchBudget(max_states=8)) is not None
+    for n, cap in ((10, 511), (10, 256), (4, 7)):
+        message = f"^2\\^{n - 1} candidate cuts exceed the budget of {cap} states$"
+        with pytest.raises(BudgetExceeded, match=message):
+            brute_force_cut(complete_graph(n), SearchBudget(max_states=cap))
 
 
 def test_search_node_cap_is_a_loud_failure():

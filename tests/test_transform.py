@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -27,7 +28,7 @@ def test_split_leaves_repeat_free_formula_unchanged():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
     out, tm = split_repeated_variables(f)
     assert out == f
-    assert tm.replacements == {1: (1,), 2: (2,), 3: (3,)}
+    assert tm == {1: (1,), 2: (2,), 3: (3,)}
 
 
 def test_split_two_occurrences():
@@ -35,7 +36,7 @@ def test_split_two_occurrences():
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
     assert [cl.literals for cl in out.clauses] == [(1, 2, 3), (6, 4, 5), (1, -6)]
-    assert tm.replacements == {1: (1, 6), 2: (2,), 3: (3,), 4: (4,), 5: (5,)}
+    assert tm == {1: (1, 6), 2: (2,), 3: (3,), 4: (4,), 5: (5,)}
 
 
 def test_split_two_repeated_variables():
@@ -48,7 +49,7 @@ def test_split_two_repeated_variables():
         (1, -5),
         (2, -6),
     ]
-    assert tm.replacements == {1: (1, 5), 2: (2, 6), 3: (3,), 4: (4,)}
+    assert tm == {1: (1, 5), 2: (2, 6), 3: (3,), 4: (4,)}
 
 
 def test_split_rejects_non_monotone_input():
@@ -61,11 +62,11 @@ def test_split_map_invariants_and_size_formula():
         f = generate_instance(seed, 4 + seed % 9, 1 + seed % 14)
         counts = occurrence_counts(f)
         out, tm = split_repeated_variables(f)
-        copies = [y for lst in tm.replacements.values() for y in lst]
+        copies = [y for lst in tm.values() for y in lst]
         assert len(copies) == len(set(copies))
         assert sorted(copies) == list(range(1, out.num_vars + 1))
         extra = sum(max(k - 1, 0) for k in counts.values())
-        assert sum(len(lst) - 1 for lst in tm.replacements.values()) == extra
+        assert sum(len(lst) - 1 for lst in tm.values()) == extra
         assert len(out.clauses) == len(f.clauses) + extra
         assert out.num_vars == sum(max(k, 1) for k in counts.values())
 
@@ -217,16 +218,12 @@ def test_map_serialization_roundtrip():
     _, tm = split_repeated_variables(f)
     text = emit_transform_map(tm)
     assert text.splitlines()[0] == "map 1 1 6"
-    parsed = parse_transform_map(text)
-    assert parsed.replacements == tm.replacements
+    assert parse_transform_map(text) == tm
     # The same lines embedded as DIMACS comments parse identically.
-    assert parse_transform_map(transform_map_comments(tm)).replacements == tm.replacements
-    # Only `map` lines count, bare or after `c `; CNF lines and other comments are skipped.
+    assert parse_transform_map(transform_map_comments(tm)) == tm
+    # Only `map` lines count, bare or after a `c` token; CNF lines and other comments are skipped.
     text = "p cnf 3 2\r\n1 2 3 0\r\nc note\r\n\r\nc map 1 1 3\r\n  map 2 2\r\n"
-    tm = parse_transform_map(text)
-    assert tm.replacements == {1: (1, 3), 2: (2,)}
-    assert (tm.num_original_vars, tm.num_output_vars) == (2, 3)
-    assert parse_transform_map(text.encode()).replacements == tm.replacements
+    assert parse_transform_map(text) == parse_transform_map(text.encode()) == {1: (1, 3), 2: (2,)}
     # The 0-variable map is empty and reads back; so does a text without `map` lines.
     _, tm = split_repeated_variables(CnfFormula.from_ints(0, []))
     assert emit_transform_map(tm) == "\n"
@@ -234,18 +231,51 @@ def test_map_serialization_roundtrip():
 
 
 def test_map_parse_errors():
-    with pytest.raises(FormatError):
-        parse_transform_map("map 1 1\nmap 1 1\n")
-    with pytest.raises(FormatError):
-        parse_transform_map("map 1 2\n")
-    for text in (
-        "map 1\n",  # no copies
-        "map 1 x\n",  # non-integer
-        "c map 1 1 2\nc map 2 2\n",  # copies overlap
-        "map 2 2\n",  # does not cover 1..n
+    for text, message in (
+        ("map 1 1\nmap 1 1\n", "variable 1 mapped twice"),
+        ("map 1 2\n", "first copy of variable 1 must be 1 itself"),
+        ("map 1\n", "malformed map line: 'map 1'"),  # no copies
+        ("map 1 x\n", "malformed map line: 'map 1 x'"),  # non-integer
+        ("c map 1 1 2\nc map 2 2\n", "replacement lists overlap"),
+        ("map 2 2\n", "map lines must cover variables 1..n"),
+        ("map 1 1\nmap 3 3\n", "map lines must cover variables 1..n"),
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_transform_map(text)
+
+
+def test_map_line_kind_is_its_first_token():
+    # A map line's first token is `map`, or `c` and then `map`, whatever whitespace follows.
+    tm = {1: (1, 4), 2: (2,), 3: (3,)}
+    for first in ("map\t1 1 4", "c\tmap 1 1 4", "c  map 1 1 4", "  map 1 1 4", "c map\t1\t1\t4"):
+        assert parse_transform_map(f"{first}\nmap 2 2\nc map 3 3\n") == tm
+    # Other first tokens are skipped, however they start.
+    assert parse_transform_map("mapx 1 1\ncmap 1 1\nc mapx 1 1\nc c map 1 1\nc\n") == {}
+    for text in ("map\n", "c map\n", "c\tmap\n", "map 1 1\nmap\t \n"):
+        with pytest.raises(FormatError, match=r"^malformed map line: 'map'$"):
+            parse_transform_map(text)
+    # Messages name the line without its leading `c` token.
+    with pytest.raises(FormatError, match=r"^malformed map line: 'map 1 x'$"):
+        parse_transform_map("c\tmap 1 x\n")
+    with pytest.raises(FormatError, match=r"^malformed map line: 'map 1'$"):
+        parse_transform_map("c  map 1\n")
+
+
+def test_map_messages_do_not_depend_on_line_order():
+    ordered = "map 1 1 4\nmap 2 2\nmap 3 3 5\n"
+    shuffled = "map 3 3 5\nmap 1 1 4\nmap 2 2\n"
+    assert parse_transform_map(ordered) == parse_transform_map(shuffled)
+    assert emit_transform_map(parse_transform_map(shuffled)) == ordered
+    for text in (ordered, shuffled):
+        tm = parse_transform_map(text)
+        with pytest.raises(ValueError, match=r"^assignment is missing variable 1$"):
+            lift_assignment(tm, {2: True})
+        with pytest.raises(ValueError, match=r"^assignment is missing variable 4$"):
+            chain_fault(tm, {1: True, 2: True, 3: True})
+        broken = {1: True, 4: False, 2: True, 3: True, 5: False}
+        assert chain_fault(tm, broken) == "equality chain violated: copies of variable 1 disagree"
+        with pytest.raises(ValueError, match=r"copies of variable 1 disagree$"):
+            project_assignment(tm, broken)
 
 
 def test_map_copies_must_name_variables_in_range():
@@ -259,5 +289,4 @@ def test_map_copies_must_name_variables_in_range():
     ):
         with pytest.raises(FormatError, match=rf"^copy {copy} of variable \d out of range"):
             parse_transform_map(text)
-    tm = parse_transform_map(f"map 1 1 {MAX_COUNT}\n")
-    assert tm.num_output_vars == MAX_COUNT
+    assert parse_transform_map(f"map 1 1 {MAX_COUNT}\n") == {1: (1, MAX_COUNT)}
