@@ -32,10 +32,6 @@ class Clause:
         if len(variables) != len(self.literals):
             raise ValueError(f"duplicate variable in clause {self.literals}")
 
-    @staticmethod
-    def from_signed(*lits: int) -> "Clause":
-        return Clause(lits)
-
     def variables(self) -> tuple[int, ...]:
         return tuple(abs(x) for x in self.literals)
 
@@ -57,9 +53,7 @@ class CnfFormula:
 
     @staticmethod
     def from_ints(num_vars: int, clause_lists) -> "CnfFormula":
-        return CnfFormula(
-            num_vars, tuple(Clause.from_signed(*lits) for lits in clause_lists)
-        )
+        return CnfFormula(num_vars, tuple(Clause(tuple(lits)) for lits in clause_lists))
 
 
 def parse_cnf(text: str | bytes) -> CnfFormula:
@@ -145,25 +139,13 @@ def occurrence_counts(f: CnfFormula) -> dict[int, int]:
     return counts
 
 
-def incidence_graph(f: CnfFormula, variant: str) -> Graph:
+def incidence_graph(f: CnfFormula) -> Graph:
     """Co-occurrence graph of a monotone 3-SAT formula.
 
-    Variant "A": one vertex per variable, an edge between two variables iff
-    they share a clause.  Variant "B": variant A plus one vertex per clause,
-    adjacent to that clause's three variable vertices.
-
-    Vertex x is variable x, and in variant B vertex n + j is clause j
-    (1-based), where n is the variable count.
+    Vertex x is variable x; two variables are adjacent iff they share a clause.
     """
-    if variant not in ("A", "B"):
-        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
     if not is_monotone_3sat(f):
         raise ValueError("incidence graph requires monotone 3-SAT input")
-    n = f.num_vars
     # The constructor dedupes, so shared pairs are simply listed again.
     edges = [e for clause in f.clauses for e in itertools.combinations(clause.variables(), 2)]
-    if variant == "A":
-        return Graph(n, edges)
-    for j, clause in enumerate(f.clauses, start=1):
-        edges.extend((x, n + j) for x in clause.variables())
-    return Graph(n + len(f.clauses), edges)
+    return Graph(f.num_vars, edges)

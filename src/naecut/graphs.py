@@ -52,9 +52,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 1 <= u <= self.num_vertices and v in self.adj[u]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self.adj) for v in row if v > u]
 

@@ -38,9 +38,6 @@ class Gadget:
     b: int
     c: int
 
-    def internal_vertices(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
     def edge_list(self) -> list[tuple[int, int]]:
         x, y, a, b, c = self.x, self.y, self.a, self.b, self.c
         return [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b), (b, c), (a, c)]
@@ -159,9 +156,7 @@ def cut_to_assignment(rm: ReductionMap, cut: Cut) -> Assignment:
 
 def extract_nae(g: Graph) -> tuple[CnfFormula, dict[int, int]]:
     """Monotone 3-CNF with one variable per vertex and one clause per triangle."""
-    clauses = tuple(
-        Clause.from_signed(u, v, w) for u, v, w in enumerate_triangles(g)
-    )
+    clauses = tuple(Clause(t) for t in enumerate_triangles(g))
     vertex_var = {v: v for v in range(1, g.num_vertices + 1)}
     return CnfFormula(g.num_vertices, clauses), vertex_var
 
@@ -235,7 +230,7 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
     )
 
     endpoints_ok = (
-        not g.has_edge(x, y) and g.degree(x) == 3 and g.degree(y) == 3
+        not g.has_edge(x, y) and len(g.adj[x]) == 3 and len(g.adj[y]) == 3
     )
     return GadgetCertificate(
         endpoints_together_in_every_cut=together,
@@ -287,19 +282,30 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
     n = len(variables)
     if variables != {x: x for x in range(1, n + 1)}:
         raise FormatError(f"var lines must be 'var x x' for x = 1..{n}")
-    # As build_graph numbers them: triangle vertices and gadget apexes are variables, gadget
-    # interiors lie above them.  Generators: a list of live tuples sets off garbage collections.
-    num_vertices = n
-    triangles = ((ci, tri, ()) for ci, tri in clause_triangle.items())
-    gadgets = ((ci, (gd.x, gd.y), gd.internal_vertices()) for ci, gd in clause_gadget.items())
-    for ci, variable_ids, fresh_ids in itertools.chain(triangles, gadgets):
-        for v in variable_ids:
+    # As build_graph writes them: each variable in at most one triangle, gadget apexes
+    # variables, and each gadget's face the next three ids above n, in clause-id order.
+    in_triangle: set[int] = set()
+    for ci in sorted(clause_triangle):
+        if ci in clause_gadget:
+            raise FormatError(f"clause {ci} mapped twice")
+        for v in clause_triangle[ci]:
             if not 1 <= v <= n:
                 raise FormatError(f"clause {ci} names vertex {v}, not a variable 1..{n}")
-        for v in fresh_ids:
+            if v in in_triangle:
+                raise FormatError(f"clause {ci} names variable {v}, already in a triangle")
+            in_triangle.add(v)
+    num_vertices = n
+    for ci in sorted(clause_gadget):
+        gd = clause_gadget[ci]
+        for v in (gd.x, gd.y):
+            if not 1 <= v <= n:
+                raise FormatError(f"clause {ci} names vertex {v}, not a variable 1..{n}")
+        for v in (gd.a, gd.b, gd.c):
             if v <= n:
                 raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not above {n}")
-            num_vertices = max(num_vertices, v)
+            num_vertices += 1
+            if v != num_vertices:
+                raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not {num_vertices}")
     if num_vertices > MAX_COUNT:
         raise FormatError(f"vertex id {num_vertices} exceeds the limit of {MAX_COUNT}")
     return ReductionMap(

@@ -457,21 +457,18 @@ class _NaeEngine:
         self._assign(3, None)  # variable 1 False
         if not self._search(None):
             return None
-        model = self._model()
+        model = self.val[::2]
         self._backtrack(0)
         val = self.val
         for i in range(2, self.n + 1):
             if val[2 * i] is None:
                 if model[i] and self._search(2 * i + 1):
-                    model = self._model()
+                    model = self.val[::2]
                 self._backtrack(0)
                 if val[2 * i] is None:
                     self._assign(2 * i + (not model[i]), None)
                     self._propagate()
         return [model[x] if x >= 0 else not model[-x] for x in self.lits]
-
-    def _model(self) -> list[bool | None]:
-        return self.val[::2]
 
 
 def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assignment | None:
@@ -540,7 +537,7 @@ def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignmen
         raise ValueError("fast path requires monotone 3-SAT input")
     if colouring.k > 4:
         raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    g = incidence_graph(f, "A")
+    g = incidence_graph(f)
     if not verify_colouring(g, colouring):
         raise ValueError("not a proper colouring of the incidence graph")
     witness = {x: colouring.colours[x] in (1, 2) for x in range(1, f.num_vars + 1)}
@@ -616,7 +613,7 @@ def generate_instance(
             raise ValueError(
                 f"could not place clause {ci + 1} without repeating a variable pair"
             )
-        clauses.append(Clause.from_signed(a, b, c))
+        clauses.append(Clause((a, b, c)))
     return CnfFormula(num_vars, tuple(clauses))
 
 

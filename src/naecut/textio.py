@@ -15,7 +15,8 @@ from .errors import FormatError
 MAX_COUNT = 1_000_000
 
 
-def _decoded(text: str | bytes) -> str:
+def decoded(text: str | bytes) -> str:
+    """The text itself, or the bytes decoded as UTF-8; FormatError if they are not."""
     if isinstance(text, bytes):
         try:
             return text.decode("utf-8")
@@ -24,21 +25,13 @@ def _decoded(text: str | bytes) -> str:
     return text
 
 
-def lines(text: str | bytes):
-    """The stripped, non-blank lines of the text."""
-    for raw in _decoded(text).splitlines():
-        line = raw.strip()
-        if line:
-            yield line
-
-
 def records(text: str | bytes):
     """(line, tokens) for each non-blank line that is not a `c` comment.
 
     `line` is the stripped line; `str.split` and `str.strip` share one notion
     of whitespace, so the tokens of a line are those of its stripped form.
     """
-    for raw in _decoded(text).splitlines():
+    for raw in decoded(text).splitlines():
         tokens = raw.split()
         if tokens and tokens[0][0] != "c":
             yield raw.strip(), tokens

@@ -21,7 +21,7 @@ from .formula import (
     occurrence_counts,
     require_variables,
 )
-from .textio import MAX_COUNT, ints, lines
+from .textio import MAX_COUNT, decoded, ints
 
 
 # Original variable x -> its per-occurrence copies, x itself first.
@@ -160,8 +160,9 @@ def transform_map_comments(tm: TransformMap) -> str:
 def parse_transform_map(text: str | bytes) -> TransformMap:
     """Read the lines whose first token is `map`, or `c` then `map` (a DIMACS comment)."""
     tm: TransformMap = {}
-    for line in lines(text):
-        if line[0] not in "cm":  # not a map line: spares splitting every CNF clause line
+    for raw in decoded(text).splitlines():
+        line = raw.strip()
+        if not line or line[0] not in "cm":  # not a map line; spares splitting CNF clause lines
             continue
         tokens = line.split()
         if tokens[0] == "c":

@@ -147,7 +147,7 @@ def test_criterion_3_structural_guarantees(sweep):
             violations += 1
         triangles = enumerate_triangles(g)
         for gadget in rm.clause_gadget.values():
-            for v in gadget.internal_vertices():
+            for v in (gadget.a, gadget.b, gadget.c):
                 if sum(1 for t in triangles if v in t) != 5:
                     violations += 1
     ok = violations == 0
@@ -187,7 +187,7 @@ def test_criterion_5_gadget_certification():
 
 
 def _fastpath_corpus():
-    """100 seeded instances whose variant-A incidence graph is 4-colourable."""
+    """100 seeded instances whose incidence graph is 4-colourable."""
     master = random.Random(FASTPATH_SEED)
     found = []
     while len(found) < FASTPATH_TRIALS:
@@ -198,7 +198,7 @@ def _fastpath_corpus():
             f = generate_instance(seed, n, m, distinct_pairs=True)
         except ValueError:
             continue
-        g = incidence_graph(f, "A")
+        g = incidence_graph(f)
         colouring = find_k_colouring(g, 4)
         if colouring is None:
             continue

@@ -155,22 +155,14 @@ def test_nae_is_self_complementary():
 
 def test_incidence_variant_a_is_k3():
     f = CnfFormula.from_ints(3, [[1, 2, 3]])
-    g = incidence_graph(f, "A")
+    g = incidence_graph(f)
     assert g.num_vertices == 3
     assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
-def test_incidence_variant_b_is_k4():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
-    g = incidence_graph(f, "B")
-    assert g.num_vertices == 4
-    assert len(g.edges) == 6
-    assert g.adj[4] == (1, 2, 3)
-
-
 def test_incidence_two_triangles_sharing_a_vertex():
     f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
-    g = incidence_graph(f, "A")
+    g = incidence_graph(f)
     assert g.num_vertices == 5
     assert len(g.edges) == 6
     assert enumerate_triangles(g) == [(1, 2, 3), (1, 4, 5)]
@@ -179,15 +171,13 @@ def test_incidence_two_triangles_sharing_a_vertex():
 def test_incidence_rejects_non_monotone_input():
     f = CnfFormula.from_ints(2, [[1, -2]])
     with pytest.raises(ValueError):
-        incidence_graph(f, "A")
-    with pytest.raises(ValueError, match="^variant must be 'A' or 'B', got 'C'$"):
-        incidence_graph(CnfFormula.from_ints(3, [[1, 2, 3]]), "C")
+        incidence_graph(f)
 
 
 def test_incidence_edge_bound_and_clause_triangles():
     for seed in range(20):
         f = generate_instance(seed, 6, 8)
-        g = incidence_graph(f, "A")
+        g = incidence_graph(f)
         assert len(g.edges) <= 3 * len(f.clauses)
         triangles = set(enumerate_triangles(g))
         for clause in f.clauses:
@@ -204,11 +194,11 @@ def test_occurrence_counts():
 
 def test_literal_and_clause_invariants():
     with pytest.raises(ValueError):
-        Clause.from_signed(1, 0, 2)
+        Clause((1, 0, 2))
     with pytest.raises(ValueError):
-        Clause.from_signed(1, 2, 3, 4)
+        Clause((1, 2, 3, 4))
     with pytest.raises(ValueError):
-        Clause.from_signed(1, -1)
+        Clause((1, -1))
     with pytest.raises(ValueError):
         CnfFormula.from_ints(2, [[1, 2, 3]])
 

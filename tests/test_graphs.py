@@ -82,7 +82,6 @@ def test_adjacency_is_the_one_representation():
             row = g.adj[v]
             assert type(row) is tuple and list(row) == sorted(set(row))
             assert all(v in g.adj[w] for w in row)
-            assert g.degree(v) == len(row)
         assert g.sorted_edges() == normal
         assert g.edges == frozenset(normal)
         assert len(g.edges) == g.num_edges == len(normal)
@@ -175,7 +174,7 @@ def test_gadget_has_seven_triangles():
     triangles = enumerate_triangles(g)
     assert len(triangles) == 7
     assert triangles == naive_triangles(g)
-    for v in gadget.internal_vertices():
+    for v in (gadget.a, gadget.b, gadget.c):
         assert sum(1 for t in triangles if v in t) == 5
     for v in (gadget.x, gadget.y):
         assert sum(1 for t in triangles if v in t) == 3

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -69,7 +70,7 @@ def test_build_with_one_gadget():
     assert len(triangles) == 2 + 7
     gadget = rm.clause_gadget[3]
     assert (gadget.x, gadget.y) == (1, 6)
-    assert gadget.internal_vertices() == (7, 8, 9)
+    assert (gadget.a, gadget.b, gadget.c) == (7, 8, 9)
     assert not g.has_edge(1, 6)
 
 
@@ -87,7 +88,7 @@ def test_triangle_membership_counts():
         for vx in range(1, rm.num_variables + 1):
             assert sum(1 for t in triangles if vx in t) <= 7
         for gadget in rm.clause_gadget.values():
-            for v in gadget.internal_vertices():
+            for v in (gadget.a, gadget.b, gadget.c):
                 assert sum(1 for t in triangles if v in t) == 5
 
 
@@ -98,7 +99,7 @@ def test_every_triangle_is_a_clause_triangle_or_inside_one_gadget():
         g, rm = build_graph(out)
         clause_triangles = set(rm.clause_triangle.values())
         gadget_vertex_sets = [
-            frozenset((gadget.x, gadget.y, *gadget.internal_vertices()))
+            frozenset((gadget.x, gadget.y, gadget.a, gadget.b, gadget.c))
             for gadget in rm.clause_gadget.values()
         ]
         for tri in enumerate_triangles(g):
@@ -159,9 +160,28 @@ UNWRITTEN_MAP = "var 1 1\nvar 2 2\ntri 1 1 2 7\ngad 2 9 2 3 4 5\n"
 
 
 def test_reduction_map_ids_are_those_a_reduction_writes():
-    # Triangle vertices and gadget apexes are variables 1..n, gadget interiors lie
-    # above n; the check runs after every line is read, so a `var` line may come last.
+    # Triangle vertices and gadget apexes are variables 1..n, each variable in at most
+    # one triangle, and the gadgets' faces take the next three ids above n in clause-id
+    # order; the check runs after every line is read, so a `var` line may come last.
     for text, message in (
+        (  # the face skips vertex 4
+            "var 1 1\nvar 2 2\nvar 3 3\ntri 1 1 2 3\ngad 2 1 2 5 6 7\n",
+            "clause 2 puts vertex 5 inside its gadget, not 4",
+        ),
+        (  # two gadgets on one face
+            "var 1 1\nvar 2 2\nvar 3 3\ngad 1 1 2 4 5 6\ngad 2 2 3 4 5 6\n",
+            "clause 2 puts vertex 4 inside its gadget, not 7",
+        ),
+        (  # faces numbered in file order, not in clause-id order
+            "var 1 1\nvar 2 2\ngad 2 1 2 3 4 5\ngad 1 1 2 6 7 8\n",
+            "clause 1 puts vertex 6 inside its gadget, not 3",
+        ),
+        (
+            "var 1 1\nvar 2 2\nvar 3 3\nvar 4 4\ntri 1 1 2 3\ntri 2 2 3 4\n",
+            "clause 2 names variable 2, already in a triangle",
+        ),
+        ("var 1 1\nvar 2 2\nvar 3 3\ntri 1 1 2 2\n", "clause 1 names variable 2, already in a triangle"),
+        ("var 1 1\nvar 2 2\nvar 3 3\ntri 1 1 2 3\ngad 1 1 2 4 5 6\n", "clause 1 mapped twice"),
         (UNWRITTEN_MAP, "clause 1 names vertex 7, not a variable 1..2"),
         ("tri 1 1 2 7\nvar 1 1\nvar 2 2\n", "clause 1 names vertex 7, not a variable 1..2"),
         ("var 1 1\nvar 2 2\ngad 2 9 2 3 4 5\n", "clause 2 names vertex 9, not a variable 1..2"),
@@ -175,6 +195,36 @@ def test_reduction_map_ids_are_those_a_reduction_writes():
     # A map that keeps the rule reads back whatever the order of its lines.
     rm = parse_reduction_map("gad 2 1 2 3 4 5\nvar 1 1\nvar 2 2\n")
     assert (rm.num_variables, rm.num_vertices) == (2, 5)
+
+
+def _mutated_map(text, rng):
+    """The map with one id shifted by 1..3 either way, and sometimes two lines swapped."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    j = rng.randrange(1, len(tokens))
+    tokens[j] = str(int(tokens[j]) + rng.choice((-3, -2, -1, 1, 2, 3)))
+    lines[i] = " ".join(tokens)
+    if rng.random() < 0.3:
+        a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[a], lines[b] = lines[b], lines[a]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_reduction_map_that_parses_gets_its_colouring():
+    rng = random.Random(0)
+    parsed = 0
+    for seed in range(60):
+        split, _ = split_repeated_variables(generate_instance(seed, 4 + seed % 7, 3 + seed % 9))
+        text = emit_reduction_map(build_graph(split)[1])
+        for _ in range(150):
+            try:
+                rm = parse_reduction_map(_mutated_map(text, rng))
+            except ValueError:  # FormatError included
+                continue
+            construct_5_colouring(graph_from_reduction_map(rm), rm)
+            parsed += 1
+    assert parsed > 500  # a swap or a shift that keeps the map well-formed
 
 
 def test_text_formats_roundtrip_on_reduction_outputs():
@@ -228,7 +278,7 @@ def test_colouring_gadget_avoids_endpoint_colours():
     c = construct_5_colouring(g, rm)
     gadget = rm.clause_gadget[3]
     assert {c.colours[gadget.x], c.colours[gadget.y]} == {1, 3}
-    assert {c.colours[v] for v in gadget.internal_vertices()} == {2, 4, 5}
+    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {2, 4, 5}
     assert verify_colouring(g, c)
 
 
@@ -241,7 +291,7 @@ def test_colouring_endpoint_pair_one_two_forces_top_three():
     c = construct_5_colouring(g, rm)
     gadget = rm.clause_gadget[3]
     assert (c.colours[gadget.x], c.colours[gadget.y]) == (1, 2)
-    assert {c.colours[v] for v in gadget.internal_vertices()} == {3, 4, 5}
+    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {3, 4, 5}
     assert verify_colouring(g, c) and c.k == 5
 
 
@@ -255,7 +305,7 @@ def test_colouring_equal_endpoint_colours():
     c = construct_5_colouring(g, rm)
     gadget = rm.clause_gadget[5]
     assert c.colours[gadget.x] == c.colours[gadget.y] == 3
-    assert {c.colours[v] for v in gadget.internal_vertices()} == {1, 2, 4}
+    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {1, 2, 4}
     assert verify_colouring(g, c) and c.k <= 5
 
 
@@ -387,7 +437,7 @@ def test_extract_incidence_is_subgraph_of_source():
         out, _ = split_repeated_variables(f)
         g, _ = build_graph(out)
         extracted, _ = extract_nae(g)
-        inc = incidence_graph(extracted, "A")
+        inc = incidence_graph(extracted)
         assert inc.edges <= g.edges
 
 

@@ -760,7 +760,7 @@ def test_assignment_from_4colouring_property_sweep():
             f = generate_instance(seed, 5 + seed % 6, 2 + seed % 5, distinct_pairs=True)
         except ValueError:
             continue
-        g = incidence_graph(f, "A")
+        g = incidence_graph(f)
         colouring = find_k_colouring(g, 4)
         if colouring is None:
             continue

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from naecut import FormatError
-from naecut.textio import lines, records
+from naecut.textio import records
 
 
 def reference_lines(text):
@@ -39,7 +39,7 @@ def outcome(reader, text):
         return str(exc)
 
 
-def test_records_and_lines_match_the_reference_reader():
+def test_records_matches_the_reference_reader():
     rng = random.Random(0)
     for i in range(20000):
         text = "".join(rng.choice(PIECES) for _ in range(rng.randrange(25)))
@@ -50,5 +50,4 @@ def test_records_and_lines_match_the_reference_reader():
             inputs.append(raw[:cut] + rng.choice((b"\xff", b"\xc3", b"\xe2\x80")) + raw[cut:])
         for data in inputs:
             assert outcome(records, data) == outcome(reference_records, data), data
-            assert outcome(lines, data) == outcome(reference_lines, data), data
 
