@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import eq
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
-from .textio import ints, read_header, records
+from .textio import MAX_COUNT, columns, decoded, ints, read_header, records
 
 
 class Graph:
@@ -24,22 +25,34 @@ class Graph:
     __slots__ = ("num_vertices", "adj")
 
     def __init__(self, num_vertices: int, edges=()):
-        if num_vertices < 0:
+        us, vs = list(zip(*edges)) or ((), ())
+        self.num_vertices, self.adj = num_vertices, Graph._from_arrays(num_vertices, us, vs).adj
+
+    @classmethod
+    def _from_arrays(cls, n: int, us, vs) -> "Graph":
+        """The graph with edges (us[i], vs[i]); duplicates are dropped silently.
+
+        ValueError names the first self-loop or out-of-range edge in input order.
+        """
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [[] for _ in range(num_vertices + 1)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{num_vertices}")
+        if us and (min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs))):
+            for u, v in zip(us, vs):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+        adj = [[] for _ in range(n + 1)]
+        for u, v in zip(us, vs):
             adj[u].append(v)
             adj[v].append(u)
         for row in adj:
             row.sort()
             if len(set(row)) != len(row):
                 row[:] = sorted(set(row))
-        self.num_vertices = num_vertices
-        self.adj = list(map(tuple, adj))
+        g = cls.__new__(cls)
+        g.num_vertices, g.adj = n, list(map(tuple, adj))
+        return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -100,8 +113,36 @@ def complete_graph(n: int) -> Graph:
 
 def parse_graph(text: str | bytes) -> Graph:
     """Parse a DIMACS-col style graph: `p edge <n> <m>` header, `e <u> <v>` lines."""
+    text = decoded(text)
+    (n, m), us, vs = _emitted_edges(text) or _edge_lines(text)
+    try:
+        g = Graph._from_arrays(n, us, vs)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    if g.num_edges != len(us):
+        raise FormatError(f"duplicate edge: {len(us)} edge lines name {g.num_edges} edges")
+    if len(us) != m:
+        raise FormatError(f"header promises {m} edges, found {len(us)}")
+    return g
+
+
+def _emitted_edges(text: str):
+    """The header counts and edge columns of a text in emit_graph's form, counts
+    within MAX_COUNT; None for any other text."""
+    cut = text.find("\n") + 1
+    head = columns(text, 0, cut, "p edge", 2)
+    if head is None or len(head[0]) != 1 or max(head[0] + head[1]) > MAX_COUNT:
+        return None
+    edges = columns(text, cut, len(text), "e", 2)
+    return None if edges is None else ((head[0][0], head[1][0]), *edges)
+
+
+def _edge_lines(text: str):
+    """The header counts and edge columns of any text, read line by line; FormatError
+    names the first line that is not a header or an edge."""
     header = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for line, tokens in records(text):
         if tokens[0] == "e":
             if header is None:
@@ -109,7 +150,8 @@ def parse_graph(text: str | bytes) -> Graph:
             if len(tokens) != 3:
                 raise FormatError(f"malformed edge line: {line!r}")
             try:
-                edges.append((int(tokens[1]), int(tokens[2])))
+                us.append(int(tokens[1]))
+                vs.append(int(tokens[2]))
             except ValueError:
                 raise FormatError(f"malformed edge line: {line!r}") from None
         elif tokens[0] == "p":
@@ -120,15 +162,7 @@ def parse_graph(text: str | bytes) -> Graph:
             raise FormatError(f"unrecognized line: {line!r}")
     if header is None:
         raise FormatError("missing 'p edge' header")
-    try:
-        g = Graph(header[0], edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    if g.num_edges != len(edges):
-        raise FormatError(f"duplicate edge: {len(edges)} edge lines name {g.num_edges} edges")
-    if len(edges) != header[1]:
-        raise FormatError(f"header promises {header[1]} edges, found {len(edges)}")
-    return g
+    return header, us, vs
 
 
 def emit_graph(g: Graph) -> str:

@@ -24,7 +24,7 @@ from .graphs import (
     verify_colouring,
     verify_cut_triangle_free,
 )
-from .textio import MAX_COUNT, ints, records
+from .textio import MAX_COUNT, columns, decoded, ints, records
 from .transform import check_properties
 
 
@@ -85,12 +85,16 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
 
 def graph_from_reduction_map(rm: ReductionMap) -> Graph:
     """Rebuild the reduction graph from its map alone."""
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for v1, v2, v3 in rm.clause_triangle.values():
-        edges.extend([(v1, v2), (v1, v3), (v2, v3)])
-    for gadget in rm.clause_gadget.values():
-        edges.extend(gadget.edge_list())
-    return Graph(rm.num_vertices, edges)
+        us += (v1, v1, v2)
+        vs += (v2, v3, v3)
+    for gd in rm.clause_gadget.values():
+        x, y, a, b, c = gd.x, gd.y, gd.a, gd.b, gd.c
+        us += (x, x, x, y, y, y, a, b, a)
+        vs += (a, b, c, a, b, c, b, c, c)
+    return Graph._from_arrays(rm.num_vertices, us, vs)
 
 
 def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
@@ -259,26 +263,8 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
 
     The `var` lines must be exactly `var x x` for x = 1..n.
     """
-    variables: dict[int, int] = {}
-    clause_triangle: dict[int, tuple[int, int, int]] = {}
-    clause_gadget: dict[int, Gadget] = {}
-    # kind -> (table, tokens per line, what the key names, value builder)
-    schema = {
-        "var": (variables, 3, "variable", lambda values: values[0]),
-        "tri": (clause_triangle, 5, "clause", tuple),
-        "gad": (clause_gadget, 7, "clause", lambda values: Gadget(*values)),
-    }
-    for line, tokens in records(text):
-        kind = tokens[0]
-        if kind not in schema:
-            raise FormatError(f"unrecognized map line: {line!r}")
-        table, arity, noun, build = schema[kind]
-        if len(tokens) != arity:
-            raise FormatError(f"malformed {kind} line: {line!r}")
-        key, *values = ints(tokens[1:], f"{kind} line", line)
-        if key in table:
-            raise FormatError(f"{noun} {key} mapped twice")
-        table[key] = build(values)
+    text = decoded(text)
+    variables, clause_triangle, clause_gadget = _emitted_tables(text) or _map_lines(text)
     n = len(variables)
     if variables != {x: x for x in range(1, n + 1)}:
         raise FormatError(f"var lines must be 'var x x' for x = 1..{n}")
@@ -300,6 +286,8 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
         for v in (gd.x, gd.y):
             if not 1 <= v <= n:
                 raise FormatError(f"clause {ci} names vertex {v}, not a variable 1..{n}")
+        if gd.x == gd.y:
+            raise FormatError(f"clause {ci} names variable {gd.x} as both apexes")
         for v in (gd.a, gd.b, gd.c):
             if v <= n:
                 raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not above {n}")
@@ -314,3 +302,48 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
         clause_triangle=clause_triangle,
         clause_gadget=clause_gadget,
     )
+
+
+def _emitted_tables(text: str):
+    """The var, tri and gad tables of a text in emit_reduction_map's form, each id on
+    one line; None for any other text."""
+    gad_at = text.find("\ngad ") + 1 or len(text)
+    tri_at = text.find("\ntri ", 0, gad_at) + 1 or gad_at
+    var = columns(text, 0, tri_at, "var", 2)
+    tri = columns(text, tri_at, gad_at, "tri", 4)
+    gad = columns(text, gad_at, len(text), "gad", 6)
+    if var is None or tri is None or gad is None:
+        return None
+    tables = (
+        dict(zip(var[0], var[1])),
+        dict(zip(tri[0], zip(*tri[1:]))),
+        dict(zip(gad[0], map(Gadget, *gad[1:]))),
+    )
+    # A repeated id is left to the line reader, which names its line.
+    return tables if list(map(len, tables)) == [len(var[0]), len(tri[0]), len(gad[0])] else None
+
+
+def _map_lines(text: str):
+    """The var, tri and gad tables of any text, read line by line; FormatError names
+    the first line that is malformed or repeats an id."""
+    variables: dict[int, int] = {}
+    clause_triangle: dict[int, tuple[int, int, int]] = {}
+    clause_gadget: dict[int, Gadget] = {}
+    # kind -> (table, tokens per line, what the key names, value builder)
+    schema = {
+        "var": (variables, 3, "variable", lambda values: values[0]),
+        "tri": (clause_triangle, 5, "clause", tuple),
+        "gad": (clause_gadget, 7, "clause", lambda values: Gadget(*values)),
+    }
+    for line, tokens in records(text):
+        kind = tokens[0]
+        if kind not in schema:
+            raise FormatError(f"unrecognized map line: {line!r}")
+        table, arity, noun, build = schema[kind]
+        if len(tokens) != arity:
+            raise FormatError(f"malformed {kind} line: {line!r}")
+        key, *values = ints(tokens[1:], f"{kind} line", line)
+        if key in table:
+            raise FormatError(f"{noun} {key} mapped twice")
+        table[key] = build(values)
+    return variables, clause_triangle, clause_gadget

@@ -68,6 +68,39 @@ def test_graph_constructor_rejects_bad_edges():
         Graph(3, [(1, 2), (2, 1), (0, 1), (3, 3)])
 
 
+def reference_adjacency(n, edges):
+    """Each edge checked and placed in input order; the builder's reference."""
+    adj = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return [tuple(sorted(row)) for row in adj]
+
+
+def built_or_error(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_array_builder_matches_the_edge_loop():
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        ids = [rng.randint(1, n) if n and rng.random() < 0.95 else rng.choice((0, n + 1)) for _ in range(24)]
+        edges = list(zip(ids[: rng.randint(0, 12)], ids[12:]))  # loops, duplicates, ids out of range
+        us, vs = [u for u, _ in edges], [v for _, v in edges]
+        expected = built_or_error(reference_adjacency, n, edges)
+        assert built_or_error(lambda n, e: Graph._from_arrays(n, us, vs).adj, n, edges) == expected
+        assert built_or_error(lambda n, e: Graph(n, e).adj, n, edges) == expected
+        assert built_or_error(lambda n, e: Graph(n, iter(e)).adj, n, edges) == expected
+
+
 def test_adjacency_is_the_one_representation():
     for seed in range(50):
         rng = random.Random(seed)

@@ -189,12 +189,30 @@ def test_reduction_map_ids_are_those_a_reduction_writes():
         ("var 1 1\nvar 2 2\ngad 3 1 2 3 2 5\n", "clause 3 puts vertex 2 inside its gadget, not above 2"),
         ("var 1 1\nvar 2 2\ngad 3 1 2 3 4 -5\n", "clause 3 puts vertex -5 inside its gadget, not above 2"),
         ("tri 1 1 2 3\n", "clause 1 names vertex 1, not a variable 1..0"),
+        (  # a 2-clause has two distinct variables; in emitter order, then reordered
+            "var 1 1\nvar 2 2\nvar 3 3\nvar 4 4\ntri 1 2 3 4\ngad 2 1 1 5 6 7\n",
+            "clause 2 names variable 1 as both apexes",
+        ),
+        ("gad 2 1 1 5 6 7\nvar 1 1\nvar 2 2\nvar 3 3\nvar 4 4\ntri 1 2 3 4\n", "clause 2 names variable 1 as both apexes"),
     ):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_reduction_map(text)
     # A map that keeps the rule reads back whatever the order of its lines.
     rm = parse_reduction_map("gad 2 1 2 3 4 5\nvar 1 1\nvar 2 2\n")
     assert (rm.num_variables, rm.num_vertices) == (2, 5)
+
+
+def test_reduction_map_vertex_limit(monkeypatch):
+    # Two variables and three gadgets describe 11 vertices, in emitter order and shuffled.
+    ordered = "var 1 1\nvar 2 2\ngad 1 1 2 3 4 5\ngad 2 1 2 6 7 8\ngad 3 2 1 9 10 11\n"
+    shuffled = "gad 3 2 1 9 10 11\nvar 2 2\ngad 1 1 2 3 4 5\nvar 1 1\ngad 2 1 2 6 7 8\n"
+    monkeypatch.setattr("naecut.reduction.MAX_COUNT", 11)
+    assert parse_reduction_map(ordered) == parse_reduction_map(shuffled)
+    assert parse_reduction_map(ordered).num_vertices == 11
+    monkeypatch.setattr("naecut.reduction.MAX_COUNT", 10)
+    for text in (ordered, shuffled):
+        with pytest.raises(FormatError, match="^vertex id 11 exceeds the limit of 10$"):
+            parse_reduction_map(text)
 
 
 def _mutated_map(text, rng):
