@@ -25,7 +25,7 @@ from .errors import FormatError
 MAX_COUNT = 1_000_000
 
 # `columns` checks and splits its span in pieces of about this many characters, so
-# the regex's backtracking stack and the token lists stay small on large files.
+# the regex's match stack and the token lists stay small on large files.
 _CHUNK = 1 << 16
 
 
