@@ -35,7 +35,6 @@ from .graphs import (
     verify_cut_triangle_free,
 )
 from .reduction import (
-    Gadget,
     GadgetCertificate,
     ReductionMap,
     assignment_to_cut,

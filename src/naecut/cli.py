@@ -253,7 +253,7 @@ def _roundtrip_trial(f) -> list[str]:
     if colouring.k > 5:
         problems.append("colour-bound")
     per_vertex = Counter(v for tri in enumerate_triangles(g) for v in tri)
-    internal = [v for gadget in rm.clause_gadget.values() for v in (gadget.a, gadget.b, gadget.c)]
+    internal = [v for gd in rm.clause_gadget.values() for v in gd[2:]]
     if any(per_vertex[v] != 5 for v in internal):
         problems.append("gadget-triangles")
 

@@ -68,13 +68,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self.adj) for v in row if v > u]
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.num_vertices, self.sorted_edges() + [(u, v)])
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        drop = ((u, v), (v, u))
-        return Graph(self.num_vertices, [e for e in self.sorted_edges() if e not in drop])
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
 

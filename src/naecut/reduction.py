@@ -29,31 +29,20 @@ from .transform import check_properties
 
 
 @dataclass(frozen=True)
-class Gadget:
-    """Glued-tetrahedra gadget: apexes x, y over the shared face {a, b, c}."""
-
-    x: int
-    y: int
-    a: int
-    b: int
-    c: int
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        x, y, a, b, c = self.x, self.y, self.a, self.b, self.c
-        return [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b), (b, c), (a, c)]
-
-
-@dataclass(frozen=True)
 class ReductionMap:
     """Provenance linking formula elements to graph elements (1-based clause ids).
 
-    Variable x is vertex x; the map records only the clause structures.
+    Variable x is vertex x; the map records only the clause structures.  Each
+    table maps a clause id to the ids after it on its map line:
+    `clause_triangle[ci]` is the triangle (v1, v2, v3) of `tri ci v1 v2 v3`, and
+    `clause_gadget[ci]` is (x, y, a, b, c) of `gad ci x y a b c`, a gadget with
+    apexes x, y over the shared face {a, b, c}.
     """
 
     num_variables: int
     num_vertices: int
     clause_triangle: dict[int, tuple[int, int, int]]
-    clause_gadget: dict[int, Gadget]
+    clause_gadget: dict[int, tuple[int, int, int, int, int]]
 
 
 def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
@@ -69,7 +58,7 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
             + ", ".join(report.failures())
         )
     clause_triangle: dict[int, tuple[int, int, int]] = {}
-    clause_gadget: dict[int, Gadget] = {}
+    clause_gadget: dict[int, tuple[int, int, int, int, int]] = {}
     next_vertex = f.num_vars + 1
     # The properties make a 3-clause unnegated and a 2-clause one literal of each sign.
     for ci, clause in enumerate(f.clauses, start=1):
@@ -77,7 +66,7 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
             clause_triangle[ci] = tuple(sorted(clause.literals))
         else:
             neg, pos = sorted(clause.literals)
-            clause_gadget[ci] = Gadget(pos, -neg, next_vertex, next_vertex + 1, next_vertex + 2)
+            clause_gadget[ci] = (pos, -neg, next_vertex, next_vertex + 1, next_vertex + 2)
             next_vertex += 3
     rm = ReductionMap(f.num_vars, next_vertex - 1, clause_triangle, clause_gadget)
     return graph_from_reduction_map(rm), rm
@@ -90,8 +79,7 @@ def graph_from_reduction_map(rm: ReductionMap) -> Graph:
     for v1, v2, v3 in rm.clause_triangle.values():
         us += (v1, v1, v2)
         vs += (v2, v3, v3)
-    for gd in rm.clause_gadget.values():
-        x, y, a, b, c = gd.x, gd.y, gd.a, gd.b, gd.c
+    for x, y, a, b, c in rm.clause_gadget.values():
         us += (x, x, x, y, y, y, a, b, a)
         vs += (a, b, c, a, b, c, b, c, c)
     return Graph._from_arrays(rm.num_vertices, us, vs)
@@ -112,10 +100,10 @@ def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
         if x not in colours:
             colours[x] = 1
     for ci in sorted(rm.clause_gadget):
-        gadget = rm.clause_gadget[ci]
-        used = {colours[gadget.x], colours[gadget.y]}
-        free = [c for c in range(1, 6) if c not in used]
-        colours[gadget.a], colours[gadget.b], colours[gadget.c] = free[:3]
+        x, y, a, b, c = rm.clause_gadget[ci]
+        used = {colours[x], colours[y]}
+        free = [colour for colour in range(1, 6) if colour not in used]
+        colours[a], colours[b], colours[c] = free[:3]
     k = max(colours.values(), default=0)
     colouring = Colouring(colours, k)
     if not verify_colouring(g, colouring):
@@ -134,11 +122,11 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
     if not nae_satisfies(f, assignment):
         raise ValueError("assignment does not NAE-satisfy the formula")
     side_a = {x for x in range(1, rm.num_variables + 1) if assignment[x]}
-    for gadget in rm.clause_gadget.values():
-        if gadget.x in side_a:
-            side_a.add(gadget.a)
+    for x, _, a, b, c in rm.clause_gadget.values():
+        if x in side_a:
+            side_a.add(a)
         else:
-            side_a.update((gadget.b, gadget.c))
+            side_a.update((b, c))
     cut = Cut.from_side_a(side_a, rm.num_vertices)
     if not cut.side_a or not cut.side_b:
         raise ValueError(
@@ -187,10 +175,11 @@ def cut_from_vertex_assignment(g: Graph, assignment: Assignment) -> Cut:
     return cut
 
 
-def canonical_gadget() -> tuple[Graph, Gadget]:
-    """The reference gadget on vertices 1..5 with x=1, y=2, face {3, 4, 5}."""
-    gadget = Gadget(1, 2, 3, 4, 5)
-    return Graph(5, gadget.edge_list()), gadget
+def canonical_gadget() -> tuple[Graph, tuple[int, int, int, int, int]]:
+    """The reference gadget's graph on vertices 1..5 and its map tuple (x, y, a, b, c):
+    apexes 1, 2 over the face {3, 4, 5}."""
+    gadget = (1, 2, 3, 4, 5)
+    return graph_from_reduction_map(ReductionMap(2, 5, {}, {1: gadget})), gadget
 
 
 @dataclass(frozen=True)
@@ -253,8 +242,8 @@ def emit_reduction_map(rm: ReductionMap) -> str:
         v1, v2, v3 = rm.clause_triangle[ci]
         lines.append(f"tri {ci} {v1} {v2} {v3}")
     for ci in sorted(rm.clause_gadget):
-        gadget = rm.clause_gadget[ci]
-        lines.append(f"gad {ci} {gadget.x} {gadget.y} {gadget.a} {gadget.b} {gadget.c}")
+        x, y, a, b, c = rm.clause_gadget[ci]
+        lines.append(f"gad {ci} {x} {y} {a} {b} {c}")
     return "\n".join(lines) + "\n"
 
 
@@ -282,13 +271,13 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
             in_triangle.add(v)
     num_vertices = n
     for ci in sorted(clause_gadget):
-        gd = clause_gadget[ci]
-        for v in (gd.x, gd.y):
+        x, y, *face = clause_gadget[ci]
+        for v in (x, y):
             if not 1 <= v <= n:
                 raise FormatError(f"clause {ci} names vertex {v}, not a variable 1..{n}")
-        if gd.x == gd.y:
-            raise FormatError(f"clause {ci} names variable {gd.x} as both apexes")
-        for v in (gd.a, gd.b, gd.c):
+        if x == y:
+            raise FormatError(f"clause {ci} names variable {x} as both apexes")
+        for v in face:
             if v <= n:
                 raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not above {n}")
             num_vertices += 1
@@ -317,7 +306,7 @@ def _emitted_tables(text: str):
     tables = (
         dict(zip(var[0], var[1])),
         dict(zip(tri[0], zip(*tri[1:]))),
-        dict(zip(gad[0], map(Gadget, *gad[1:]))),
+        dict(zip(gad[0], zip(*gad[1:]))),
     )
     # A repeated id is left to the line reader, which names its line.
     return tables if list(map(len, tables)) == [len(var[0]), len(tri[0]), len(gad[0])] else None
@@ -328,12 +317,12 @@ def _map_lines(text: str):
     the first line that is malformed or repeats an id."""
     variables: dict[int, int] = {}
     clause_triangle: dict[int, tuple[int, int, int]] = {}
-    clause_gadget: dict[int, Gadget] = {}
+    clause_gadget: dict[int, tuple[int, int, int, int, int]] = {}
     # kind -> (table, tokens per line, what the key names, value builder)
     schema = {
         "var": (variables, 3, "variable", lambda values: values[0]),
         "tri": (clause_triangle, 5, "clause", tuple),
-        "gad": (clause_gadget, 7, "clause", lambda values: Gadget(*values)),
+        "gad": (clause_gadget, 7, "clause", tuple),
     }
     for line, tokens in records(text):
         kind = tokens[0]

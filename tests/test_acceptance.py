@@ -30,6 +30,7 @@ from naecut import (
     find_k_colouring,
     gadget_certify,
     generate_instance,
+    Graph,
     incidence_graph,
     lift_assignment,
     max_degree,
@@ -146,8 +147,8 @@ def test_criterion_3_structural_guarantees(sweep):
         if any(c > 7 for c in occurrence_counts(r["extracted"]).values()):
             violations += 1
         triangles = enumerate_triangles(g)
-        for gadget in rm.clause_gadget.values():
-            for v in (gadget.a, gadget.b, gadget.c):
+        for gd in rm.clause_gadget.values():
+            for v in gd[2:]:
                 if sum(1 for t in triangles if v in t) != 5:
                     violations += 1
     ok = violations == 0
@@ -174,10 +175,10 @@ def test_criterion_4_transform_contract(sweep):
 
 
 def test_criterion_5_gadget_certification():
-    g, gadget = canonical_gadget()
-    certificate = gadget_certify(g, gadget.x, gadget.y)
-    with_xy = gadget_certify(g.with_edge(gadget.x, gadget.y), gadget.x, gadget.y)
-    without_ab = gadget_certify(g.without_edge(gadget.a, gadget.b), gadget.x, gadget.y)
+    g, (x, y, a, b, _) = canonical_gadget()
+    certificate = gadget_certify(g, x, y)
+    with_xy = gadget_certify(Graph(5, g.sorted_edges() + [(x, y)]), x, y)
+    without_ab = gadget_certify(Graph(5, [e for e in g.sorted_edges() if e != (a, b)]), x, y)
     ok = (
         certificate.all_ok()
         and not with_xy.endpoints_nonadjacent_degree_three
@@ -243,7 +244,8 @@ def test_criterion_7b_k5_cut_found():
     # Every bipartition of K5 leaves three mutually adjacent vertices on one
     # side, so K5 has no triangle-free cut, while K5 minus any one edge has one.
     k5 = complete_graph(5)
-    graphs = [k5] + [k5.without_edge(u, v) for u, v in sorted(k5.edges)]
+    edges = k5.sorted_edges()
+    graphs = [k5] + [Graph(5, [e for e in edges if e != drop]) for drop in edges]
     start = time.monotonic()
     cuts = [brute_force_cut(g, exhaustive_budget(5)) for g in graphs]
     elapsed = time.monotonic() - start

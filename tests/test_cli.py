@@ -13,7 +13,6 @@ import naecut
 from naecut import (
     CnfFormula,
     FormatError,
-    Gadget,
     Graph,
     PropertyReport,
     assignment_to_cut,
@@ -475,8 +474,8 @@ def test_verify_cut_refuses_a_map_no_reduction_writes(tmp_path, capsys, monkeypa
     # 1..2.  Its own graph, that graph's smallest cut and the witness read off the
     # cut once made `verify cut` print `valid cut`.
     monkeypatch.chdir(tmp_path)
-    gadget = Gadget(9, 2, 3, 4, 5)
-    g = Graph(9, [(1, 2), (1, 7), (2, 7), *gadget.edge_list()])
+    gadget = [(9, 3), (9, 4), (9, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5), (3, 5)]
+    g = Graph(9, [(1, 2), (1, 7), (2, 7), *gadget])
     cut = brute_force_cut(g)
     (tmp_path / "g.col").write_text(emit_graph(g))
     (tmp_path / "cut.txt").write_text(emit_cut_witness(cut))
@@ -490,7 +489,8 @@ def test_verify_cut_refuses_a_gadget_face_that_skips_an_id(tmp_path, capsys, mon
     # The face {6, 7, 8} skips vertex 5; the map describes its own graph and the cut
     # is valid, but no reduction numbers a gadget so.
     monkeypatch.chdir(tmp_path)
-    g = Graph(8, [(1, 2), (1, 3), (2, 3), *Gadget(3, 4, 6, 7, 8).edge_list()])
+    gadget = [(3, 6), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (6, 7), (7, 8), (6, 8)]
+    g = Graph(8, [(1, 2), (1, 3), (2, 3), *gadget])
     (tmp_path / "g.col").write_text(emit_graph(g))
     (tmp_path / "cut.txt").write_text(emit_cut_witness(brute_force_cut(g)))
     (tmp_path / "m.txt").write_text("var 1 1\nvar 2 2\nvar 3 3\nvar 4 4\ntri 1 1 2 3\ngad 2 3 4 6 7 8\n")
@@ -617,9 +617,8 @@ def test_roundtrip_break_gadget_detects_failures(capsys, monkeypatch):
     # the cut found on the broken graph is no triangle-free cut of the real one.
     def build_broken_graph(f):
         g, rm = build_graph(f)
-        for gadget in rm.clause_gadget.values():
-            g = g.without_edge(gadget.a, gadget.b)
-        return g, rm
+        drop = {gd[2:4] for gd in rm.clause_gadget.values()}
+        return Graph(g.num_vertices, [e for e in g.sorted_edges() if e not in drop]), rm
 
     monkeypatch.setattr(cli, "build_graph", build_broken_graph)
     assert run(capsys, *argv) == (1, (

@@ -125,10 +125,6 @@ def test_adjacency_is_the_one_representation():
         h = Graph(n, shuffled)
         assert h == g and hash(h) == hash(g)
         assert Graph(n + 1, edges) != g
-        if normal:
-            u, v = rng.choice(normal)
-            assert g.without_edge(v, u).sorted_edges() == [e for e in normal if e != (u, v)]
-            assert g.without_edge(u, v).with_edge(v, u) == g
 
 
 def test_graph_holds_each_edge_once_per_endpoint():
@@ -207,9 +203,9 @@ def test_gadget_has_seven_triangles():
     triangles = enumerate_triangles(g)
     assert len(triangles) == 7
     assert triangles == naive_triangles(g)
-    for v in (gadget.a, gadget.b, gadget.c):
+    for v in gadget[2:]:
         assert sum(1 for t in triangles if v in t) == 5
-    for v in (gadget.x, gadget.y):
+    for v in gadget[:2]:
         assert sum(1 for t in triangles if v in t) == 3
 
 
@@ -369,9 +365,7 @@ def test_cut_verification_rejects_non_partitions():
 
 def test_cut_verification_gadget_endpoint_side():
     g, gadget = canonical_gadget()
-    cut = Cut(
-        frozenset({gadget.x, gadget.y, gadget.a}), frozenset({gadget.b, gadget.c})
-    )
+    cut = Cut(frozenset(gadget[:3]), frozenset(gadget[3:]))
     assert verify_cut_triangle_free(g, cut)
 
 

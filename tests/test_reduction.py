@@ -68,9 +68,7 @@ def test_build_with_one_gadget():
     assert len(g.edges) == 6 + 9
     triangles = enumerate_triangles(g)
     assert len(triangles) == 2 + 7
-    gadget = rm.clause_gadget[3]
-    assert (gadget.x, gadget.y) == (1, 6)
-    assert (gadget.a, gadget.b, gadget.c) == (7, 8, 9)
+    assert rm.clause_gadget[3] == (1, 6, 7, 8, 9)
     assert not g.has_edge(1, 6)
 
 
@@ -87,8 +85,8 @@ def test_triangle_membership_counts():
         triangles = enumerate_triangles(g)
         for vx in range(1, rm.num_variables + 1):
             assert sum(1 for t in triangles if vx in t) <= 7
-        for gadget in rm.clause_gadget.values():
-            for v in (gadget.a, gadget.b, gadget.c):
+        for gd in rm.clause_gadget.values():
+            for v in gd[2:]:
                 assert sum(1 for t in triangles if v in t) == 5
 
 
@@ -98,10 +96,7 @@ def test_every_triangle_is_a_clause_triangle_or_inside_one_gadget():
         out, _ = split_repeated_variables(f)
         g, rm = build_graph(out)
         clause_triangles = set(rm.clause_triangle.values())
-        gadget_vertex_sets = [
-            frozenset((gadget.x, gadget.y, gadget.a, gadget.b, gadget.c))
-            for gadget in rm.clause_gadget.values()
-        ]
+        gadget_vertex_sets = [frozenset(gd) for gd in rm.clause_gadget.values()]
         for tri in enumerate_triangles(g):
             inside_gadget = any(set(tri) <= vs for vs in gadget_vertex_sets)
             assert tri in clause_triangles or inside_gadget
@@ -294,9 +289,9 @@ def test_colouring_gadget_avoids_endpoint_colours():
     # gadget joining 1 and 6 sees endpoint colours {1, 3}.
     g, rm = build_graph(split_example())
     c = construct_5_colouring(g, rm)
-    gadget = rm.clause_gadget[3]
-    assert {c.colours[gadget.x], c.colours[gadget.y]} == {1, 3}
-    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {2, 4, 5}
+    x, y, *face = rm.clause_gadget[3]
+    assert {c.colours[x], c.colours[y]} == {1, 3}
+    assert {c.colours[v] for v in face} == {2, 4, 5}
     assert verify_colouring(g, c)
 
 
@@ -307,9 +302,9 @@ def test_colouring_endpoint_pair_one_two_forces_top_three():
     out, _ = split_repeated_variables(f)
     g, rm = build_graph(out)
     c = construct_5_colouring(g, rm)
-    gadget = rm.clause_gadget[3]
-    assert (c.colours[gadget.x], c.colours[gadget.y]) == (1, 2)
-    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {3, 4, 5}
+    x, y, *face = rm.clause_gadget[3]
+    assert (c.colours[x], c.colours[y]) == (1, 2)
+    assert {c.colours[v] for v in face} == {3, 4, 5}
     assert verify_colouring(g, c) and c.k == 5
 
 
@@ -321,9 +316,9 @@ def test_colouring_equal_endpoint_colours():
     out, _ = split_repeated_variables(f)
     g, rm = build_graph(out)
     c = construct_5_colouring(g, rm)
-    gadget = rm.clause_gadget[5]
-    assert c.colours[gadget.x] == c.colours[gadget.y] == 3
-    assert {c.colours[v] for v in (gadget.a, gadget.b, gadget.c)} == {1, 2, 4}
+    x, y, *face = rm.clause_gadget[5]
+    assert c.colours[x] == c.colours[y] == 3
+    assert {c.colours[v] for v in face} == {1, 2, 4}
     assert verify_colouring(g, c) and c.k <= 5
 
 
@@ -340,8 +335,8 @@ def test_assignment_to_cut_places_gadget_internals():
     a = {1: True, 2: False, 3: False, 4: False, 5: False, 6: True}
     cut = assignment_to_cut(f, rm, a)
     gadget = rm.clause_gadget[3]
-    assert {gadget.x, gadget.y, gadget.a} <= cut.side_a
-    assert {gadget.b, gadget.c} <= cut.side_b
+    assert set(gadget[:3]) <= cut.side_a
+    assert set(gadget[3:]) <= cut.side_b
     assert verify_cut_triangle_free(g, cut)
 
 
@@ -392,13 +387,19 @@ def test_cut_to_assignment_rejects_bad_cut():
         cut_to_assignment(rm, Cut(frozenset({1, 2, 3}), frozenset()))
 
 
-def test_gadget_cuts_keep_endpoints_together_exhaustively():
+def test_canonical_gadget_is_the_map_gadget_on_one_to_five():
     g, gadget = canonical_gadget()
+    assert gadget == (1, 2, 3, 4, 5)
+    assert g.sorted_edges() == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+
+
+def test_gadget_cuts_keep_endpoints_together_exhaustively():
+    g, (x, y, *_) = canonical_gadget()
     for bits in itertools.product((False, True), repeat=5):
         side_a = frozenset(v for v, b in zip(range(1, 6), bits) if b)
         cut = Cut(side_a, frozenset(range(1, 6)) - side_a)
         if verify_cut_triangle_free(g, cut):
-            assert (gadget.x in side_a) == (gadget.y in side_a)
+            assert (x in side_a) == (y in side_a)
 
 
 def test_cut_assignment_roundtrip():
@@ -423,10 +424,10 @@ def test_extract_nae_k3_and_triangle_free():
 
 
 def test_extract_nae_gadget():
-    g, gadget = canonical_gadget()
+    g, (x, *_) = canonical_gadget()
     f, _ = extract_nae(g)
     assert len(f.clauses) == 7
-    assert occurrence_counts(f)[gadget.x] == 3
+    assert occurrence_counts(f)[x] == 3
 
 
 def test_extract_nae_matches_bipartition_semantics():
@@ -474,8 +475,8 @@ def test_cut_from_vertex_assignment_rebalances():
 
 
 def test_gadget_certificate_passes():
-    g, gadget = canonical_gadget()
-    report = gadget_certify(g, gadget.x, gadget.y)
+    g, (x, y, *_) = canonical_gadget()
+    report = gadget_certify(g, x, y)
     assert report.endpoints_together_in_every_cut
     assert report.triangle_free_cut_exists
     assert report.endpoint_colour_pairs_extend
@@ -484,10 +485,10 @@ def test_gadget_certificate_passes():
 
 
 def test_gadget_certificate_mutations():
-    g, gadget = canonical_gadget()
-    with_xy = g.with_edge(gadget.x, gadget.y)
-    assert not gadget_certify(with_xy, gadget.x, gadget.y).endpoints_nonadjacent_degree_three
-    without_ab = g.without_edge(gadget.a, gadget.b)
-    assert not gadget_certify(without_ab, gadget.x, gadget.y).endpoints_together_in_every_cut
+    g, (x, y, a, b, _) = canonical_gadget()
+    with_xy = Graph(5, g.sorted_edges() + [(x, y)])
+    assert not gadget_certify(with_xy, x, y).endpoints_nonadjacent_degree_three
+    without_ab = Graph(5, [e for e in g.sorted_edges() if e != (a, b)])
+    assert not gadget_certify(without_ab, x, y).endpoints_together_in_every_cut
     with pytest.raises(ValueError, match="expects a graph on 5 vertices"):
         gadget_certify(complete_graph(4), 1, 2)

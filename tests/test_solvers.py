@@ -192,10 +192,10 @@ def test_cut_complete_graph_boundary():
 
 
 def test_cut_gadget_keeps_endpoints_together():
-    g, gadget = canonical_gadget()
+    g, (x, y, *_) = canonical_gadget()
     cut = brute_force_cut(g)
     assert cut is not None
-    assert (gadget.x in cut.side_a) == (gadget.y in cut.side_a)
+    assert (x in cut.side_a) == (y in cut.side_a)
 
 
 def test_cut_tiny_graphs_have_no_partition():
@@ -367,26 +367,24 @@ def _triangles_of(n, edges):
 
 
 def _gadget_dense_graphs():
-    from naecut import Gadget
-
     k5 = list(itertools.combinations(range(1, 6), 2))
     k6 = list(itertools.combinations(range(1, 7), 2))
-    chain2 = Gadget(1, 2, 4, 5, 6).edge_list() + Gadget(2, 3, 7, 8, 9).edge_list()
-    chain3 = chain2 + Gadget(3, 10, 11, 12, 4).edge_list()
+    chain2 = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).edges)
+    chain3 = _tetrahedra(12, (11, 12, 4), (3, 10), extra=chain2.edges)
     graphs = [_tetrahedra(3 + k, (1, 2, 3), range(4, 4 + k)) for k in (2, 3, 4)]
     graphs += [
         # two faces sharing the apex 4, each with a second apex
         _tetrahedra(9, (1, 2, 3), (4, 8), extra=_tetrahedra(9, (5, 6, 7), (4, 9)).edges),
         # the shared apex lies on the other face
         _tetrahedra(8, (1, 2, 3), (4, 5), extra=_tetrahedra(8, (4, 6, 7), (8,)).edges),
-        Graph(9, chain2),
-        Graph(9, chain2 + [(1, 3), (1, 7), (3, 7)]),
-        Graph(12, chain3),
-        Graph(12, chain3 + [(1, 10), (1, 11), (10, 11)]),
+        chain2,
+        Graph(9, chain2.sorted_edges() + [(1, 3), (1, 7), (3, 7)]),
+        chain3,
+        Graph(12, chain3.sorted_edges() + [(1, 10), (1, 11), (10, 11)]),
         Graph(6, k5 + [(1, 6), (2, 6), (3, 6)]),
         Graph(8, k5 + [(4, 6), (5, 6), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8), (4, 8)]),
         Graph(9, k6 + [(x, v) for x in (7, 8, 9) for v in (4, 5, 6)]),
-        complete_graph(5).without_edge(1, 2),
+        Graph(5, k5[1:]),  # K5 without the edge (1, 2)
         _tetrahedra(7, (1, 2, 3), (4, 5), extra=[(4, 6), (5, 6), (4, 7), (5, 7), (6, 7)]),
     ]
     graphs += [_random_glued_tetrahedra(seed) for seed in range(80)]
@@ -648,7 +646,6 @@ def _gadget_groups(x, y, a, b, c):
 
 
 def test_presolve_peels_only_trailing_gadget_interiors():
-    from naecut import Gadget
     from naecut.solvers import _NaeEngine
 
     def peeled(n, groups):
@@ -674,19 +671,19 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     f = CnfFormula.from_ints(8, nested)
     assert brute_force_nae(f) == naive_nae_smallest(f)
 
-    chain = Graph(9, Gadget(1, 2, 4, 5, 6).edge_list() + Gadget(2, 3, 7, 8, 9).edge_list())
+    chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).edges)
     graphs = [
         # faces with three and four apexes below them
         _tetrahedra(3 + k, (k + 1, k + 2, k + 3), range(1, k + 1)) for k in (3, 4)
     ] + [
         # a gadget whose interior is not the highest-indexed
-        Graph(6, Gadget(1, 2, 3, 4, 5).edge_list()),
-        Graph(6, Gadget(1, 6, 3, 4, 5).edge_list()),
+        _tetrahedra(6, (3, 4, 5), (1, 2)),
+        _tetrahedra(6, (3, 4, 5), (1, 6)),
         # an interior with an extra triangle through the apexes
-        Graph(5, Gadget(1, 2, 3, 4, 5).edge_list() + [(1, 2)]),
+        _tetrahedra(5, (3, 4, 5), (1, 2), extra=[(1, 2)]),
         # two gadgets sharing the apex 2, the other apex of one lying in
         # the other's interior
-        Graph(8, Gadget(1, 2, 6, 7, 8).edge_list() + Gadget(2, 8, 3, 4, 5).edge_list()),
+        _tetrahedra(8, (6, 7, 8), (1, 2), extra=_tetrahedra(8, (3, 4, 5), (2, 8)).edges),
     ]
     for g in graphs:
         assert peeled(g.num_vertices, enumerate_triangles(g)) == 0
