@@ -27,7 +27,6 @@ from .graphs import (
     emit_graph,
     enumerate_triangles,
     find_k_colouring,
-    find_monochromatic_triangle,
     max_degree,
     parse_colouring,
     parse_graph,
@@ -46,7 +45,6 @@ from .reduction import (
     emit_reduction_map,
     extract_nae,
     gadget_certify,
-    graph_from_reduction_map,
     parse_reduction_map,
 )
 from .solvers import (

@@ -41,7 +41,6 @@ from .reduction import (
     cut_to_assignment,
     emit_reduction_map,
     extract_nae,
-    graph_from_reduction_map,
     parse_reduction_map,
 )
 from .solvers import (
@@ -194,12 +193,12 @@ def _cut_fault(args) -> str | None:
     if fault is not None or not args.map:
         return fault
     rm = parse_reduction_map(_read(args.map))
-    if graph_from_reduction_map(rm) != g:
+    if rm.graph != g:
         raise FormatError("reduction map does not describe this graph")
     if not args.assignment:
         return None
-    # Variable x is true iff it is on side A, as in cut_to_assignment, whose graph
-    # rebuild and cut check would repeat cut_fault on g, which is the map's graph.
+    # Variable x is true iff it is on side A, as in cut_to_assignment, whose cut
+    # check would repeat cut_fault on g, which is the map's graph.
     stated = _read_assignment(args.assignment, rm.num_variables, "assignment certificate")
     side_a = cut.side_a
     mismatched = [x for x in range(1, rm.num_variables + 1) if stated[x] != (x in side_a)]

@@ -287,19 +287,15 @@ def verify_colouring(g: Graph, c: Colouring) -> bool:
     return colouring_fault(g, c) is None
 
 
-def find_monochromatic_triangle(g: Graph, cut: Cut) -> tuple[int, int, int] | None:
-    """Lexicographically first triangle inside one side of the cut; stops at the first hit."""
-    return next(_triangles(g, cut.side_a), None)
-
-
 def cut_fault(g: Graph, cut: Cut) -> str | None:
-    """Name an empty side, a non-partition or the first monochromatic triangle; or None."""
+    """Name an empty side, a non-partition or the lexicographically first
+    monochromatic triangle; or None."""
     a, b = cut.side_a, cut.side_b
     if not a or not b:
         return "one side of the cut is empty"
     if a & b or a | b != frozenset(range(1, g.num_vertices + 1)):
         return f"sides do not partition the vertices 1..{g.num_vertices}"
-    bad = find_monochromatic_triangle(g, cut)
+    bad = next(_triangles(g, cut.side_a), None)
     return None if bad is None else "monochromatic triangle {} {} {}".format(*bad)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import FormatError
 from .formula import Assignment, Clause, CnfFormula, nae_satisfies
@@ -36,13 +37,31 @@ class ReductionMap:
     table maps a clause id to the ids after it on its map line:
     `clause_triangle[ci]` is the triangle (v1, v2, v3) of `tri ci v1 v2 v3`, and
     `clause_gadget[ci]` is (x, y, a, b, c) of `gad ci x y a b c`, a gadget with
-    apexes x, y over the shared face {a, b, c}.
+    apexes x, y over the shared face {a, b, c}.  The tables are not changed after
+    construction: the vertex count and the graph are derived from them, the graph
+    once, on first use.
     """
 
     num_variables: int
-    num_vertices: int
     clause_triangle: dict[int, tuple[int, int, int]]
     clause_gadget: dict[int, tuple[int, int, int, int, int]]
+
+    @property
+    def num_vertices(self) -> int:
+        return self.num_variables + 3 * len(self.clause_gadget)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The reduction graph: a triangle per `tri` line, nine edges per `gad` line."""
+        us: list[int] = []
+        vs: list[int] = []
+        for v1, v2, v3 in self.clause_triangle.values():
+            us += (v1, v1, v2)
+            vs += (v2, v3, v3)
+        for x, y, a, b, c in self.clause_gadget.values():
+            us += (x, x, x, y, y, y, a, b, a)
+            vs += (a, b, c, a, b, c, b, c, c)
+        return Graph._from_arrays(self.num_vertices, us, vs)
 
 
 def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
@@ -68,21 +87,8 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
             neg, pos = sorted(clause.literals)
             clause_gadget[ci] = (pos, -neg, next_vertex, next_vertex + 1, next_vertex + 2)
             next_vertex += 3
-    rm = ReductionMap(f.num_vars, next_vertex - 1, clause_triangle, clause_gadget)
-    return graph_from_reduction_map(rm), rm
-
-
-def graph_from_reduction_map(rm: ReductionMap) -> Graph:
-    """Rebuild the reduction graph from its map alone."""
-    us: list[int] = []
-    vs: list[int] = []
-    for v1, v2, v3 in rm.clause_triangle.values():
-        us += (v1, v1, v2)
-        vs += (v2, v3, v3)
-    for x, y, a, b, c in rm.clause_gadget.values():
-        us += (x, x, x, y, y, y, a, b, a)
-        vs += (a, b, c, a, b, c, b, c, c)
-    return Graph._from_arrays(rm.num_vertices, us, vs)
+    rm = ReductionMap(f.num_vars, clause_triangle, clause_gadget)
+    return rm.graph, rm
 
 
 def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
@@ -133,15 +139,14 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
             "assignment sends every vertex to one side; "
             "a formula without 3-clauses has no induced cut"
         )
-    if not verify_cut_triangle_free(graph_from_reduction_map(rm), cut):
+    if not verify_cut_triangle_free(rm.graph, cut):
         raise AssertionError("induced cut is not triangle-free; reduction structure broken")
     return cut
 
 
 def cut_to_assignment(rm: ReductionMap, cut: Cut) -> Assignment:
     """Read a NAE witness off a triangle-free cut: variable true iff on side A."""
-    g = graph_from_reduction_map(rm)
-    if not verify_cut_triangle_free(g, cut):
+    if not verify_cut_triangle_free(rm.graph, cut):
         raise ValueError("cut is not a triangle-free cut of the reduction graph")
     return {x: (x in cut.side_a) for x in range(1, rm.num_variables + 1)}
 
@@ -179,7 +184,7 @@ def canonical_gadget() -> tuple[Graph, tuple[int, int, int, int, int]]:
     """The reference gadget's graph on vertices 1..5 and its map tuple (x, y, a, b, c):
     apexes 1, 2 over the face {3, 4, 5}."""
     gadget = (1, 2, 3, 4, 5)
-    return graph_from_reduction_map(ReductionMap(2, 5, {}, {1: gadget})), gadget
+    return ReductionMap(2, {}, {1: gadget}).graph, gadget
 
 
 @dataclass(frozen=True)
@@ -285,12 +290,7 @@ def parse_reduction_map(text: str | bytes) -> ReductionMap:
                 raise FormatError(f"clause {ci} puts vertex {v} inside its gadget, not {num_vertices}")
     if num_vertices > MAX_COUNT:
         raise FormatError(f"vertex id {num_vertices} exceeds the limit of {MAX_COUNT}")
-    return ReductionMap(
-        num_variables=n,
-        num_vertices=num_vertices,
-        clause_triangle=clause_triangle,
-        clause_gadget=clause_gadget,
-    )
+    return ReductionMap(n, clause_triangle, clause_gadget)
 
 
 def _emitted_tables(text: str):

@@ -29,7 +29,6 @@ from naecut import (
     extract_nae,
     gadget_certify,
     generate_instance,
-    graph_from_reduction_map,
     incidence_graph,
     lift_assignment,
     max_degree,
@@ -102,7 +101,7 @@ def test_every_triangle_is_a_clause_triangle_or_inside_one_gadget():
             assert tri in clause_triangles or inside_gadget
 
 
-def test_graph_from_reduction_map_rebuilds():
+def test_reduction_map_graph_rebuilds_from_the_parsed_map():
     g, rm = build_graph(split_example())
     # Clauses (1 2 3), (6 4 5), (1 -6): two triangles and the gadget x=1, y=6, face {7, 8, 9}.
     assert g.sorted_edges() == [
@@ -110,7 +109,7 @@ def test_graph_from_reduction_map_rebuilds():
         (5, 6), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
     ]
     assert g.num_vertices == 9
-    assert graph_from_reduction_map(parse_reduction_map(emit_reduction_map(rm))) == g
+    assert parse_reduction_map(emit_reduction_map(rm)).graph == g
 
 
 def test_reduction_map_serialization_roundtrip():
@@ -118,7 +117,8 @@ def test_reduction_map_serialization_roundtrip():
     text = emit_reduction_map(rm)
     parsed = parse_reduction_map(text)
     assert parsed == rm
-    assert graph_from_reduction_map(parsed) == g
+    assert parsed.graph == g
+    assert parsed.num_vertices == g.num_vertices
     assert emit_reduction_map(parsed) == text
     for seed in range(8):
         split, _ = split_repeated_variables(generate_instance(seed, 4 + seed, 3 + 2 * seed))
@@ -235,7 +235,7 @@ def test_a_reduction_map_that_parses_gets_its_colouring():
                 rm = parse_reduction_map(_mutated_map(text, rng))
             except ValueError:  # FormatError included
                 continue
-            construct_5_colouring(graph_from_reduction_map(rm), rm)
+            construct_5_colouring(rm.graph, rm)
             parsed += 1
     assert parsed > 500  # a swap or a shift that keeps the map well-formed
 
@@ -400,6 +400,19 @@ def test_gadget_cuts_keep_endpoints_together_exhaustively():
         cut = Cut(side_a, frozenset(range(1, 6)) - side_a)
         if verify_cut_triangle_free(g, cut):
             assert (x in side_a) == (y in side_a)
+
+
+def test_the_graph_is_built_once_per_map(monkeypatch):
+    builds = []
+    build = Graph._from_arrays
+    monkeypatch.setattr(Graph, "_from_arrays", lambda n, us, vs: builds.append(n) or build(n, us, vs))
+    f = split_example()
+    g, rm = build_graph(f)
+    witness = brute_force_nae(f, exhaustive_budget(f.num_vars))
+    cut = assignment_to_cut(f, rm, witness)
+    assert cut_to_assignment(rm, cut) == witness
+    assert builds == [9]
+    assert g is rm.graph
 
 
 def test_cut_assignment_roundtrip():
