@@ -22,7 +22,6 @@ from .graphs import (
     Colouring,
     Cut,
     Graph,
-    complete_graph,
     emit_colouring,
     emit_graph,
     enumerate_triangles,

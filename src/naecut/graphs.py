@@ -5,10 +5,8 @@ A graph is held as sorted adjacency tuples, which every reader walks directly.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import eq
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .textio import MAX_COUNT, columns, decoded, ints, read_header, records
@@ -25,34 +23,26 @@ class Graph:
     __slots__ = ("num_vertices", "adj")
 
     def __init__(self, num_vertices: int, edges=()):
-        us, vs = list(zip(*edges)) or ((), ())
-        self.num_vertices, self.adj = num_vertices, Graph._from_arrays(num_vertices, us, vs).adj
-
-    @classmethod
-    def _from_arrays(cls, n: int, us, vs) -> "Graph":
-        """The graph with edges (us[i], vs[i]); duplicates are dropped silently.
+        """The graph with the given (u, v) pairs as edges; duplicates are dropped silently.
 
         ValueError names the first self-loop or out-of-range edge in input order.
         """
+        n = num_vertices
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if us and (min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs))):
-            for u, v in zip(us, vs):
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
         adj = [[] for _ in range(n + 1)]
-        for u, v in zip(us, vs):
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
             adj[u].append(v)
             adj[v].append(u)
         for row in adj:
             row.sort()
             if len(set(row)) != len(row):
                 row[:] = sorted(set(row))
-        g = cls.__new__(cls)
-        g.num_vertices, g.adj = n, list(map(tuple, adj))
-        return g
+        self.num_vertices, self.adj = n, list(map(tuple, adj))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -100,16 +90,12 @@ class Colouring:
     k: int
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, itertools.combinations(range(1, n + 1), 2))
-
-
 def parse_graph(text: str | bytes) -> Graph:
     """Parse a DIMACS-col style graph: `p edge <n> <m>` header, `e <u> <v>` lines."""
     text = decoded(text)
     (n, m), us, vs = _emitted_edges(text) or _edge_lines(text)
     try:
-        g = Graph._from_arrays(n, us, vs)
+        g = Graph(n, zip(us, vs))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     if g.num_edges != len(us):

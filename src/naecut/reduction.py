@@ -61,7 +61,7 @@ class ReductionMap:
         for x, y, a, b, c in self.clause_gadget.values():
             us += (x, x, x, y, y, y, a, b, a)
             vs += (a, b, c, a, b, c, b, c, c)
-        return Graph._from_arrays(self.num_vertices, us, vs)
+        return Graph(self.num_vertices, zip(us, vs))
 
 
 def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:

@@ -18,7 +18,6 @@ from naecut import (
     canonical_gadget,
     check_properties,
     Cut,
-    complete_graph,
     construct_5_colouring,
     cut_from_4colouring,
     cut_from_vertex_assignment,
@@ -41,6 +40,8 @@ from naecut import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+
+from helpers import complete_graph
 
 SWEEP_SEED = 402280
 SWEEP_TRIALS = 200

@@ -19,7 +19,6 @@ from naecut import (
     brute_force_cut,
     build_graph,
     canonical_gadget,
-    complete_graph,
     construct_5_colouring,
     emit_cnf,
     emit_colouring,
@@ -42,6 +41,8 @@ from naecut.cli import main
 from naecut.formula import nae_fault
 from naecut.graphs import colouring_fault, cut_fault
 from naecut.textio import MAX_COUNT
+
+from helpers import complete_graph
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
 SPLIT_CNF = "p cnf 5 2\n1 2 3 0\n1 4 5 0\n"

@@ -15,7 +15,6 @@ from naecut import (
     assignment_to_cut,
     build_graph,
     canonical_gadget,
-    complete_graph,
     emit_colouring,
     emit_graph,
     enumerate_triangles,
@@ -30,6 +29,8 @@ from naecut import (
     verify_cut_triangle_free,
 )
 from naecut.graphs import colouring_fault, cut_fault
+
+from helpers import complete_graph
 
 
 def naive_triangles(g):
@@ -67,6 +68,14 @@ def test_graph_constructor_rejects_bad_edges():
         Graph(3, [(1, 2), (2, 1), (0, 1), (3, 3)])
 
 
+def test_graph_constructor_rejects_pairs_of_other_lengths():
+    for edges in ([(1, 2), (2, 3, 1)], [(2, 3, 1), (1, 2)], [(1, 2), (3,)], [(1, 2, 3)]):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+        with pytest.raises(ValueError):
+            Graph(3, iter(edges))
+
+
 def reference_adjacency(n, edges):
     """Each edge checked and placed in input order; the builder's reference."""
     adj = [set() for _ in range(n + 1)]
@@ -87,7 +96,7 @@ def built_or_error(build, n, edges):
         return str(exc)
 
 
-def test_array_builder_matches_the_edge_loop():
+def test_pair_builder_matches_the_edge_loop():
     rng = random.Random(0)
     for _ in range(3000):
         n = rng.randint(0, 9)
@@ -95,7 +104,7 @@ def test_array_builder_matches_the_edge_loop():
         edges = list(zip(ids[: rng.randint(0, 12)], ids[12:]))  # loops, duplicates, ids out of range
         us, vs = [u for u, _ in edges], [v for _, v in edges]
         expected = built_or_error(reference_adjacency, n, edges)
-        assert built_or_error(lambda n, e: Graph._from_arrays(n, us, vs).adj, n, edges) == expected
+        assert built_or_error(lambda n, e: Graph(n, zip(us, vs)).adj, n, edges) == expected
         assert built_or_error(lambda n, e: Graph(n, e).adj, n, edges) == expected
         assert built_or_error(lambda n, e: Graph(n, iter(e)).adj, n, edges) == expected
 

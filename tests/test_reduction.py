@@ -13,7 +13,6 @@ from naecut import (
     brute_force_nae,
     build_graph,
     canonical_gadget,
-    complete_graph,
     construct_5_colouring,
     cut_from_vertex_assignment,
     cut_to_assignment,
@@ -46,6 +45,8 @@ from naecut import (
     verify_colouring,
     verify_cut_triangle_free,
 )
+
+from helpers import complete_graph
 
 
 def split_example():
@@ -404,8 +405,8 @@ def test_gadget_cuts_keep_endpoints_together_exhaustively():
 
 def test_the_graph_is_built_once_per_map(monkeypatch):
     builds = []
-    build = Graph._from_arrays
-    monkeypatch.setattr(Graph, "_from_arrays", lambda n, us, vs: builds.append(n) or build(n, us, vs))
+    build = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, n, edges=(): builds.append(n) or build(g, n, edges))
     f = split_example()
     g, rm = build_graph(f)
     witness = brute_force_nae(f, exhaustive_budget(f.num_vars))

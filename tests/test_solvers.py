@@ -15,7 +15,6 @@ from naecut import (
     brute_force_cut,
     brute_force_nae,
     canonical_gadget,
-    complete_graph,
     cut_from_4colouring,
     emit_cut_witness,
     emit_nae_witness,
@@ -30,6 +29,8 @@ from naecut import (
     split_repeated_variables,
     verify_cut_triangle_free,
 )
+
+from helpers import complete_graph
 
 
 # Independent enumeration oracles: straight product scans with inline clause
