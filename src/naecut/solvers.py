@@ -14,6 +14,8 @@ Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
 the largest left is peeled: its apexes must be equal, and each of their
 values has one smallest completion, on which nothing earlier depends.
+Its seven groups are matched in the order a reduction graph's triangles
+come in, and sorted and compared as sets only when that match fails.
 Then a parity union-find merges the classes that 2-groups and apex
 equalities define into their smallest indices.  Two models first differ
 at a representative, so searching the representatives in index order
@@ -45,7 +47,6 @@ from .graphs import (
     Graph,
     enumerate_triangles,
     verify_colouring,
-    verify_cut_triangle_free,
 )
 from .reduction import cut_from_vertex_assignment
 from .textio import ints, records
@@ -87,6 +88,11 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     {u, w}.  Every model then has x = y, and each value of x extends to
     a, b, c, so the seven groups give way to (x, -y).  Peeling stops at
     the first triple that is not an interior.
+
+    The groups are first matched as listed by triangle enumeration and
+    `extract_nae`: (x, a, b), (y, a, b) with 0 < x < y, then (x, a, c),
+    (x, b, c), (y, a, c), (y, b, c), (a, b, c).  Only when that fails are
+    they sorted and compared as sets, so any order peels the same.
     """
     # by_top[v]: the groups left whose largest variable is v.  While a, b, c
     # are the largest left, the groups holding any of them are exactly those
@@ -99,16 +105,20 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     top = num_vars
     while top >= 5:
         abc = a, b, c = top - 2, top - 1, top
-        near = by_top[a] + by_top[b] + by_top[c]
-        if len(near) != 7:
-            break
-        faces = set(map(tuple, map(sorted, near)))
-        apexes = sorted({face[0] for face in faces} - {a})
-        if len(apexes) != 2 or apexes[0] < 1:
-            break
-        x, y = apexes
-        if faces != {abc, (x, a, b), (x, a, c), (x, b, c), (y, a, b), (y, a, c), (y, b, c)}:
-            break
+        mid, high = by_top[b], by_top[c]
+        x, y = (mid[0][0], mid[1][0]) if len(mid) == 2 else (0, 0)
+        listed = [(x, a, b), (y, a, b)], [(x, a, c), (x, b, c), (y, a, c), (y, b, c), abc]
+        if by_top[a] or not (0 < x < y and (mid, high) == listed):
+            near = by_top[a] + mid + high
+            if len(near) != 7:
+                break
+            faces = set(map(tuple, map(sorted, near)))
+            apexes = sorted({face[0] for face in faces} - {a})
+            if len(apexes) != 2 or apexes[0] < 1:
+                break
+            x, y = apexes
+            if faces != {abc, (x, a, b), (x, a, c), (x, b, c), (y, a, b), (y, a, c), (y, b, c)}:
+                break
         by_top[y].append((x, -y))
         peeled.append(x)
         top -= 3
@@ -504,7 +514,8 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
     bits of vertices 2..n with side B first.  Graphs with fewer than two
     vertices admit no cut at all.  Without a triangle the smallest cut puts
     vertex n alone on side A; with one, no triangle-free cut leaves a side
-    empty, so the engine needs no "some vertex on side A" constraint.
+    empty, so the engine needs no "some vertex on side A" constraint, and
+    checking its model against every triangle also rules out an empty side.
     """
     budget = budget or SearchBudget()
     n = g.num_vertices
@@ -520,10 +531,9 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
     result = _NaeEngine(n, triangles).solve(budget.max_states)
     if result is None:
         return None
-    cut = Cut.from_side_a((v for v in range(1, n + 1) if result[v]), n)
-    if not verify_cut_triangle_free(g, cut):
+    if any(result[u] == result[v] == result[w] for u, v, w in triangles):
         raise AssertionError("search returned an invalid cut")
-    return cut
+    return Cut.from_side_a((v for v in range(1, n + 1) if result[v]), n)
 
 
 def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignment:

@@ -647,7 +647,7 @@ def _gadget_groups(x, y, a, b, c):
 
 
 def test_presolve_peels_only_trailing_gadget_interiors():
-    from naecut.solvers import _NaeEngine
+    from naecut.solvers import _NaeEngine, _presolve
 
     def peeled(n, groups):
         return _NaeEngine(n, groups).eliminated
@@ -693,6 +693,30 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     engine = _NaeEngine(9, enumerate_triangles(chain))
     assert (engine.n, engine.merged, engine.eliminated) == (1, 2, 6)
     assert brute_force_cut(chain) == naive_cut_smallest(chain)
+
+    # Groups out of the order triangle enumeration lists them in, each with
+    # its literals permuted, peel as the lexicographic list does.
+    rng = random.Random(0)
+    _, g = _reduction_graph(3, 16)
+    for n, groups in ((5, gadget), (g.num_vertices, enumerate_triangles(g))):
+        shuffled = [tuple(rng.sample(grp, 3)) for grp in rng.sample(groups, len(groups))]
+        assert shuffled != groups
+        assert _presolve(n, shuffled) == _presolve(n, groups)
+        assert peeled(n, shuffled) == peeled(n, groups) > 0
+
+
+@pytest.mark.parametrize(
+    "side_a", [{3, 4, 5}, set()], ids=["one triangle monochromatic", "one side empty"]
+)
+def test_cut_oracle_refuses_an_invalid_engine_model(monkeypatch, side_a):
+    # brute_force_cut checks the engine's model against every triangle of
+    # the graph: side A {3, 4, 5} leaves only the face 3 4 5 on one side.
+    from naecut import solvers
+
+    g, _ = canonical_gadget()
+    monkeypatch.setattr(solvers._NaeEngine, "solve", lambda self, max_states: [v in side_a for v in range(6)])
+    with pytest.raises(AssertionError, match="search returned an invalid cut"):
+        brute_force_cut(g)
 
 
 def test_presolve_collapses_repeated_literals_and_refutes():
