@@ -9,7 +9,6 @@ brute-force oracles that certify every claim at desk scale.
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
     Assignment,
-    Clause,
     CnfFormula,
     emit_cnf,
     incidence_graph,

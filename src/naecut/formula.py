@@ -1,4 +1,4 @@
-"""CNF data model, DIMACS parsing, NAE semantics, and incidence graphs."""
+"""CNF formulas as tuples of literal tuples, DIMACS text, NAE semantics, incidence graphs."""
 
 from __future__ import annotations
 
@@ -13,47 +13,50 @@ from .textio import ints, read_header, records
 Assignment = dict[int, bool]
 
 
-@dataclass(frozen=True)
-class Clause:
-    """An ordered disjunction of 2 or 3 literals over distinct variables.
+class Clause(tuple):
+    """A clause as CnfFormula stores it: a tuple of signed literals.
 
-    A literal is a signed DIMACS integer: x for variable x, -x for its
-    complement; 0 is never a literal.
+    `variables()` serves the benchmark's workloads; library code reads the
+    tuple itself.
     """
 
-    literals: tuple[int, ...]
-
-    def __post_init__(self):
-        variables = set(map(abs, self.literals))
-        if 0 in variables:
-            raise ValueError("0 is reserved as the clause terminator")
-        if len(self.literals) not in (2, 3):
-            raise ValueError(f"clause length must be 2 or 3, got {len(self.literals)}")
-        if len(variables) != len(self.literals):
-            raise ValueError(f"duplicate variable in clause {self.literals}")
+    __slots__ = ()
 
     def variables(self) -> tuple[int, ...]:
-        return tuple(abs(x) for x in self.literals)
+        return tuple(map(abs, self))
 
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A CNF formula over variables 1..num_vars; the clause list may be empty."""
+    """A CNF formula over variables 1..num_vars; the clause list may be empty.
+
+    `clauses` takes any sequence of literal sequences and is stored as a
+    tuple of tuples.  A literal is a signed DIMACS integer: x for variable
+    x, -x for its complement.  Each clause has 2 or 3 literals over distinct
+    variables; this is the one place that checks it.  The clauses are
+    checked in order, each for a 0, then its length, then a repeated
+    variable; then the count, then the first variable above it.
+    """
 
     num_vars: int
-    clauses: tuple[Clause, ...] = ()
+    clauses: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        clauses = tuple(map(Clause, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
+        for clause in clauses:
+            variables = set(map(abs, clause))
+            if 0 in variables:
+                raise ValueError("0 is reserved as the clause terminator")
+            if len(clause) not in (2, 3):
+                raise ValueError(f"clause length must be 2 or 3, got {len(clause)}")
+            if len(variables) != len(clause):
+                raise ValueError(f"duplicate variable in clause {clause}")
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        literals = itertools.chain.from_iterable(cl.literals for cl in self.clauses)
-        if max(map(abs, literals), default=0) > self.num_vars:
-            x = next(x for cl in self.clauses for x in cl.variables() if x > self.num_vars)
+        if max(map(abs, itertools.chain.from_iterable(clauses)), default=0) > self.num_vars:
+            x = next(x for cl in clauses for x in map(abs, cl) if x > self.num_vars)
             raise ValueError(f"variable {x} exceeds declared count {self.num_vars}")
-
-    @staticmethod
-    def from_ints(num_vars: int, clause_lists) -> "CnfFormula":
-        return CnfFormula(num_vars, tuple(Clause(tuple(lits)) for lits in clause_lists))
 
 
 def parse_cnf(text: str | bytes) -> CnfFormula:
@@ -79,7 +82,7 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
         raise FormatError("missing 'p cnf' header")
     num_vars, num_clauses = header
     try:
-        f = CnfFormula.from_ints(num_vars, clause_lists)
+        f = CnfFormula(num_vars, clause_lists)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     if current:
@@ -95,16 +98,13 @@ def emit_cnf(f: CnfFormula) -> str:
     """Emit DIMACS text with LF line endings; parse_cnf(emit_cnf(f)) == f."""
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for clause in f.clauses:
-        lines.append(" ".join(str(x) for x in clause.literals) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
 def is_monotone_3sat(f: CnfFormula) -> bool:
     """True iff every clause has exactly three literals, all unnegated."""
-    return all(
-        len(cl.literals) == 3 and min(cl.literals) > 0
-        for cl in f.clauses
-    )
+    return all(len(cl) == 3 and min(cl) > 0 for cl in f.clauses)
 
 
 def require_variables(assignment: Assignment, variables) -> None:
@@ -118,9 +118,9 @@ def nae_fault(f: CnfFormula, assignment: Assignment) -> str | None:
     """Name the first clause whose literals all take one value, or None."""
     require_variables(assignment, range(1, f.num_vars + 1))
     for i, clause in enumerate(f.clauses, start=1):
-        values = [assignment[abs(x)] == (x > 0) for x in clause.literals]
+        values = [assignment[abs(x)] == (x > 0) for x in clause]
         if all(values) or not any(values):
-            lits = " ".join(map(str, clause.literals))
+            lits = " ".join(map(str, clause))
             return f"clause {i} ({lits}) has all-equal values"
     return None
 
@@ -134,8 +134,8 @@ def occurrence_counts(f: CnfFormula) -> dict[int, int]:
     """Clause-membership count per variable, including zeroes for unused ones."""
     counts = {x: 0 for x in range(1, f.num_vars + 1)}
     for clause in f.clauses:
-        for x in clause.variables():
-            counts[x] += 1
+        for x in clause:
+            counts[abs(x)] += 1
     return counts
 
 
@@ -147,5 +147,5 @@ def incidence_graph(f: CnfFormula) -> Graph:
     if not is_monotone_3sat(f):
         raise ValueError("incidence graph requires monotone 3-SAT input")
     # The constructor dedupes, so shared pairs are simply listed again.
-    edges = [e for clause in f.clauses for e in itertools.combinations(clause.variables(), 2)]
+    edges = [e for clause in f.clauses for e in itertools.combinations(clause, 2)]
     return Graph(f.num_vars, edges)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import FormatError
-from .formula import Assignment, Clause, CnfFormula, nae_satisfies
+from .formula import Assignment, CnfFormula, nae_satisfies
 from .graphs import (
     Colouring,
     Cut,
@@ -81,10 +81,10 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
     next_vertex = f.num_vars + 1
     # The properties make a 3-clause unnegated and a 2-clause one literal of each sign.
     for ci, clause in enumerate(f.clauses, start=1):
-        if len(clause.literals) == 3:
-            clause_triangle[ci] = tuple(sorted(clause.literals))
+        if len(clause) == 3:
+            clause_triangle[ci] = tuple(sorted(clause))
         else:
-            neg, pos = sorted(clause.literals)
+            neg, pos = sorted(clause)
             clause_gadget[ci] = (pos, -neg, next_vertex, next_vertex + 1, next_vertex + 2)
             next_vertex += 3
     rm = ReductionMap(f.num_vars, clause_triangle, clause_gadget)
@@ -153,9 +153,8 @@ def cut_to_assignment(rm: ReductionMap, cut: Cut) -> Assignment:
 
 def extract_nae(g: Graph) -> tuple[CnfFormula, dict[int, int]]:
     """Monotone 3-CNF with one variable per vertex and one clause per triangle."""
-    clauses = tuple(Clause(t) for t in enumerate_triangles(g))
     vertex_var = {v: v for v in range(1, g.num_vertices + 1)}
-    return CnfFormula(g.num_vertices, clauses), vertex_var
+    return CnfFormula(g.num_vertices, enumerate_triangles(g)), vertex_var
 
 
 def cut_from_vertex_assignment(g: Graph, assignment: Assignment) -> Cut:

@@ -34,7 +34,6 @@ import random
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
     Assignment,
-    Clause,
     CnfFormula,
     incidence_graph,
     is_monotone_3sat,
@@ -496,7 +495,7 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
         )
     if f.num_vars == 0:
         return {}
-    engine = _NaeEngine(f.num_vars, [cl.literals for cl in f.clauses])
+    engine = _NaeEngine(f.num_vars, f.clauses)
     result = engine.solve(budget.max_states)
     if result is None:
         return None
@@ -604,7 +603,7 @@ def generate_instance(
         raise ValueError("clause count must be non-negative")
     rng = random.Random(seed)
     used_pairs: set[tuple[int, int]] = set()
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, int, int]] = []
     for ci in range(num_clauses):
         for _attempt in range(_MAX_CLAUSE_ATTEMPTS):
             chosen: list[int] = []
@@ -623,8 +622,8 @@ def generate_instance(
             raise ValueError(
                 f"could not place clause {ci + 1} without repeating a variable pair"
             )
-        clauses.append(Clause((a, b, c)))
-    return CnfFormula(num_vars, tuple(clauses))
+        clauses.append((a, b, c))
+    return CnfFormula(num_vars, clauses)
 
 
 def _emit_witness(status: str, values: list[int]) -> str:

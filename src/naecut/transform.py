@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from .errors import FormatError
 from .formula import (
     Assignment,
-    Clause,
     CnfFormula,
     is_monotone_3sat,
     occurrence_counts,
@@ -51,9 +50,9 @@ def split_repeated_variables(f: CnfFormula) -> tuple[CnfFormula, TransformMap]:
         next_fresh += extra
 
     copies_left = {x: iter(copies) for x, copies in tm.items()}
-    prime = [Clause(tuple(next(copies_left[x]) for x in clause.literals)) for clause in f.clauses]
-    equality = [Clause((y, -z)) for copies in tm.values() for y, z in itertools.pairwise(copies)]
-    return CnfFormula(next_fresh - 1, tuple(prime + equality)), tm
+    prime = [[next(copies_left[x]) for x in clause] for clause in f.clauses]
+    equality = [(y, -z) for copies in tm.values() for y, z in itertools.pairwise(copies)]
+    return CnfFormula(next_fresh - 1, prime + equality), tm
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ def check_properties(f: CnfFormula) -> PropertyReport:
     pairs: set[tuple[int, int]] = set()
     shapes_ok = pairs_ok = True
     for clause in f.clauses:
-        variables = sorted(map(abs, clause.literals))
-        negs = [-x for x in clause.literals if x < 0]
+        variables = sorted(map(abs, clause))
+        negs = [-x for x in clause if x < 0]
         is_triple = len(variables) == 3
         shapes_ok = shapes_ok and len(negs) == (0 if is_triple else 1)
         for x in variables:

@@ -831,7 +831,7 @@ def _planted_inputs(n, m):
     """Valid files for every command, from a formula a planted assignment NAE-satisfies."""
     rng = random.Random(f"planted {n} {m}")
     planted = {x: bool(rng.getrandbits(1)) for x in range(1, n + 1)}
-    kept = [c for c in generate_instance(0, n, m).clauses if len({planted[x] for x in c.variables()}) == 2]
+    kept = [c for c in generate_instance(0, n, m).clauses if len({planted[x] for x in map(abs, c)}) == 2]
     f = CnfFormula(n, tuple(kept))
     split, tm = split_repeated_variables(f)
     g, rm = build_graph(split)

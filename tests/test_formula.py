@@ -3,7 +3,6 @@ import random
 import pytest
 
 from naecut import (
-    Clause,
     CnfFormula,
     FormatError,
     emit_cnf,
@@ -23,12 +22,12 @@ def test_parse_smallest_monotone_instance():
     f = parse_cnf("p cnf 3 1\n1 2 3 0")
     assert f.num_vars == 3
     assert len(f.clauses) == 1
-    assert f.clauses[0].literals == (1, 2, 3)
+    assert f.clauses[0] == (1, 2, 3)
 
 
 def test_parse_two_clause_shape():
     f = parse_cnf("p cnf 2 1\n1 -2 0")
-    assert f.clauses[0].literals == (1, -2)
+    assert f.clauses[0] == (1, -2)
 
 
 def test_parse_rejects_duplicate_variable_in_clause():
@@ -75,7 +74,7 @@ def test_parse_error_cases():
 
 
 def test_emit_single_clause():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     assert emit_cnf(f) == "p cnf 3 1\n1 2 3 0\n"
 
 
@@ -84,7 +83,7 @@ def test_emit_empty_formula():
 
 
 def test_emit_of_transform_output_contains_negated_literal():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     out, _ = split_repeated_variables(f)
     assert "-" in emit_cnf(out)
 
@@ -96,14 +95,14 @@ def test_parse_emit_roundtrip_on_generated_corpus():
 
 
 def test_is_monotone_3sat():
-    assert is_monotone_3sat(CnfFormula.from_ints(3, [[1, 2, 3]]))
-    assert not is_monotone_3sat(CnfFormula.from_ints(2, [[1, -2]]))
-    out, _ = split_repeated_variables(CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]]))
+    assert is_monotone_3sat(CnfFormula(3, [[1, 2, 3]]))
+    assert not is_monotone_3sat(CnfFormula(2, [[1, -2]]))
+    out, _ = split_repeated_variables(CnfFormula(5, [[1, 2, 3], [1, 4, 5]]))
     assert not is_monotone_3sat(out)
 
 
 def test_nae_semantics_three_clause():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     assert nae_satisfies(f, {1: True, 2: True, 3: False})
     assert not nae_satisfies(f, {1: True, 2: True, 3: True})
     assert not nae_satisfies(f, {1: False, 2: False, 3: False})
@@ -111,13 +110,13 @@ def test_nae_semantics_three_clause():
 
 def test_nae_semantics_two_clause():
     # (x1 v -x2): literal values must differ, so x1 and x2 must be equal.
-    f = CnfFormula.from_ints(2, [[1, -2]])
+    f = CnfFormula(2, [[1, -2]])
     assert nae_satisfies(f, {1: True, 2: True})
     assert not nae_satisfies(f, {1: True, 2: False})
 
 
 def test_nae_requires_total_assignment():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     with pytest.raises(ValueError):
         nae_satisfies(f, {1: True, 2: False})
 
@@ -129,7 +128,7 @@ def test_nae_fault_matches_a_naive_scan():
         n = rng.randint(3, 7)
         picks = [rng.sample(range(1, n + 1), rng.choice((2, 3))) for _ in range(rng.randint(1, 6))]
         clauses = [[x if rng.random() < 0.5 else -x for x in pick] for pick in picks]
-        f = CnfFormula.from_ints(n, clauses)
+        f = CnfFormula(n, clauses)
         a = {x: rng.random() < 0.5 for x in range(1, n + 1)}
         naive = None
         for i, lits in enumerate(clauses, start=1):
@@ -154,14 +153,14 @@ def test_nae_is_self_complementary():
 
 
 def test_incidence_variant_a_is_k3():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     g = incidence_graph(f)
     assert g.num_vertices == 3
     assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_incidence_two_triangles_sharing_a_vertex():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     g = incidence_graph(f)
     assert g.num_vertices == 5
     assert len(g.edges) == 6
@@ -169,7 +168,7 @@ def test_incidence_two_triangles_sharing_a_vertex():
 
 
 def test_incidence_rejects_non_monotone_input():
-    f = CnfFormula.from_ints(2, [[1, -2]])
+    f = CnfFormula(2, [[1, -2]])
     with pytest.raises(ValueError):
         incidence_graph(f)
 
@@ -181,12 +180,12 @@ def test_incidence_edge_bound_and_clause_triangles():
         assert len(g.edges) <= 3 * len(f.clauses)
         triangles = set(enumerate_triangles(g))
         for clause in f.clauses:
-            assert tuple(sorted(clause.variables())) in triangles
+            assert tuple(sorted(map(abs, clause))) in triangles
 
 
 def test_occurrence_counts():
-    assert occurrence_counts(CnfFormula.from_ints(3, [[1, 2, 3]])) == {1: 1, 2: 1, 3: 1}
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    assert occurrence_counts(CnfFormula(3, [[1, 2, 3]])) == {1: 1, 2: 1, 3: 1}
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     assert occurrence_counts(f) == {1: 2, 2: 1, 3: 1, 4: 1, 5: 1}
     out, _ = split_repeated_variables(f)
     assert all(c <= 3 for c in occurrence_counts(out).values())
@@ -194,13 +193,17 @@ def test_occurrence_counts():
 
 def test_literal_and_clause_invariants():
     with pytest.raises(ValueError):
-        Clause((1, 0, 2))
+        CnfFormula(9, [(1, 0, 2)])
     with pytest.raises(ValueError):
-        Clause((1, 2, 3, 4))
+        CnfFormula(9, [(1, 2, 3, 4)])
     with pytest.raises(ValueError):
-        Clause((1, -1))
+        CnfFormula(9, [(1, -1)])
     with pytest.raises(ValueError):
-        CnfFormula.from_ints(2, [[1, 2, 3]])
+        CnfFormula(2, [[1, 2, 3]])
+    # Any sequence of literal sequences goes in; tuples come out.
+    f = CnfFormula(3, [[1, -2, 3], (2, -1)])
+    assert f.clauses == ((1, -2, 3), (2, -1))
+    assert f.clauses[0].variables() == (1, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +222,7 @@ def test_literal_and_clause_invariants():
 )
 def test_clause_messages_and_their_precedence(lits, message):
     with pytest.raises(ValueError) as exc:
-        Clause(lits)
+        CnfFormula(9, [lits])
     assert str(exc.value) == message
 
 
@@ -231,9 +234,14 @@ def test_formula_names_the_first_variable_over_its_count():
         ([[2, -4, 6]], 4),
     ):
         with pytest.raises(ValueError) as exc:
-            CnfFormula.from_ints(3, clauses)
+            CnfFormula(3, clauses)
         assert str(exc.value) == f"variable {x} exceeds declared count 3"
     with pytest.raises(ValueError, match="^variable count must be non-negative$"):
-        CnfFormula.from_ints(-1, [[1, 2, 3]])
-    assert CnfFormula.from_ints(3, [[-3, 1, 2]]).num_vars == 3
+        CnfFormula(-1, [[1, 2, 3]])
+    assert CnfFormula(3, [[-3, 1, 2]]).num_vars == 3
+    # Every clause's shape is checked before the count and the bound.
+    for num_vars, clauses in ((3, [[1, 2, 9], [1, 1, 2]]), (-1, [[1, 1, 2]])):
+        with pytest.raises(ValueError) as exc:
+            CnfFormula(num_vars, clauses)
+        assert str(exc.value) == "duplicate variable in clause (1, 1, 2)"
     assert CnfFormula(0).clauses == ()

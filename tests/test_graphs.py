@@ -243,7 +243,7 @@ def test_monochromatic_triangle_matches_naive_scan():
         rng = random.Random(seed)
         planted = {x: rng.random() < 0.5 for x in range(1, n + 1)}
         clauses = generate_instance(seed, n, n * 3 // 2).clauses
-        kept = tuple(c for c in clauses if len({planted[x] for x in c.variables()}) == 2)
+        kept = tuple(c for c in clauses if len({planted[x] for x in map(abs, c)}) == 2)
         split, tm = split_repeated_variables(CnfFormula(n, kept))
         g, rm = build_graph(split)
         cut = assignment_to_cut(split, rm, lift_assignment(tm, planted))

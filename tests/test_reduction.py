@@ -50,12 +50,12 @@ from helpers import complete_graph
 
 
 def split_example():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     return split_repeated_variables(f)[0]
 
 
 def test_build_single_clause_is_k3():
-    g, rm = build_graph(CnfFormula.from_ints(3, [[1, 2, 3]]))
+    g, rm = build_graph(CnfFormula(3, [[1, 2, 3]]))
     assert g == complete_graph(3)
     assert rm.clause_triangle == {1: (1, 2, 3)}
     assert rm.clause_gadget == {}
@@ -74,7 +74,7 @@ def test_build_with_one_gadget():
 
 def test_build_rejects_property_violations():
     with pytest.raises(ValueError):
-        build_graph(CnfFormula.from_ints(4, [[1, 2, 3], [1, 2, 4]]))
+        build_graph(CnfFormula(4, [[1, 2, 3], [1, 2, 4]]))
 
 
 def test_triangle_membership_counts():
@@ -126,7 +126,7 @@ def test_reduction_map_serialization_roundtrip():
         text = emit_reduction_map(build_graph(split)[1])
         assert emit_reduction_map(parse_reduction_map(text)) == text
     # The 0-variable map is empty and reads back.
-    rm = build_graph(CnfFormula.from_ints(0, []))[1]
+    rm = build_graph(CnfFormula(0, []))[1]
     assert emit_reduction_map(rm) == "\n"
     assert parse_reduction_map("\n") == parse_reduction_map("") == rm
 
@@ -247,7 +247,7 @@ def test_text_formats_roundtrip_on_reduction_outputs():
     def variants(text):
         return (text, "c note\r\n" + text.replace("\n", "\r\n"), text.encode())
 
-    formulas = [CnfFormula.from_ints(0, [])]
+    formulas = [CnfFormula(0, [])]
     formulas += [generate_instance(seed, 4 + seed, 3 + 2 * seed) for seed in range(8)]
     for f in formulas:
         split, tm = split_repeated_variables(f)
@@ -279,7 +279,7 @@ def test_text_formats_roundtrip_on_reduction_outputs():
 
 
 def test_colouring_single_triangle():
-    g, rm = build_graph(CnfFormula.from_ints(3, [[1, 2, 3]]))
+    g, rm = build_graph(CnfFormula(3, [[1, 2, 3]]))
     c = construct_5_colouring(g, rm)
     assert c.colours == {1: 1, 2: 2, 3: 3}
     assert c.k == 3
@@ -299,7 +299,7 @@ def test_colouring_gadget_avoids_endpoint_colours():
 def test_colouring_endpoint_pair_one_two_forces_top_three():
     # Split of {(1,2,3),(1,2,4)}: first gadget joins vertex 1 (colour 1) to
     # copy 5, the middle of triangle (4,5,6) (colour 2).
-    f = CnfFormula.from_ints(4, [[1, 2, 3], [1, 2, 4]])
+    f = CnfFormula(4, [[1, 2, 3], [1, 2, 4]])
     out, _ = split_repeated_variables(f)
     g, rm = build_graph(out)
     c = construct_5_colouring(g, rm)
@@ -313,7 +313,7 @@ def test_colouring_equal_endpoint_colours():
     # Variable 1 occurs three times; its second and third copies both sit
     # last in their triangles, so the chain's second gadget sees equal
     # endpoint colours and its internals take the three smallest others.
-    f = CnfFormula.from_ints(7, [[1, 2, 3], [4, 1, 5], [6, 7, 1]])
+    f = CnfFormula(7, [[1, 2, 3], [4, 1, 5], [6, 7, 1]])
     out, _ = split_repeated_variables(f)
     g, rm = build_graph(out)
     c = construct_5_colouring(g, rm)
@@ -324,7 +324,7 @@ def test_colouring_equal_endpoint_colours():
 
 
 def test_assignment_to_cut_single_triangle():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     g, rm = build_graph(f)
     cut = assignment_to_cut(f, rm, {1: True, 2: True, 3: False})
     assert cut == Cut(frozenset({1, 2}), frozenset({3}))
@@ -342,7 +342,7 @@ def test_assignment_to_cut_places_gadget_internals():
 
 
 def test_assignment_to_cut_rejects_non_witness():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     _, rm = build_graph(f)
     with pytest.raises(ValueError):
         assignment_to_cut(f, rm, {1: True, 2: True, 3: True})
@@ -374,7 +374,7 @@ def test_assignment_to_cut_property_sweep():
 
 
 def test_cut_to_assignment_single_triangle():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     _, rm = build_graph(f)
     a = cut_to_assignment(rm, Cut(frozenset({1}), frozenset({2, 3})))
     assert a == {1: True, 2: False, 3: False}
@@ -382,7 +382,7 @@ def test_cut_to_assignment_single_triangle():
 
 
 def test_cut_to_assignment_rejects_bad_cut():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     _, rm = build_graph(f)
     with pytest.raises(ValueError):
         cut_to_assignment(rm, Cut(frozenset({1, 2, 3}), frozenset()))
@@ -431,7 +431,7 @@ def test_cut_assignment_roundtrip():
 def test_extract_nae_k3_and_triangle_free():
     f, vertex_var = extract_nae(complete_graph(3))
     assert f.num_vars == 3
-    assert [cl.literals for cl in f.clauses] == [(1, 2, 3)]
+    assert list(f.clauses) == [(1, 2, 3)]
     assert vertex_var == {1: 1, 2: 2, 3: 3}
     empty, _ = extract_nae(Graph(4, [(1, 2), (3, 4)]))
     assert empty.clauses == ()

@@ -134,6 +134,14 @@ def test_emitted_form_reads_as_the_line_reader_does():
                 assert outcome_or_error(parse, mutated.encode()) == expected, mutated
                 differ += expected != original
     assert one_pass > 1000 and differ > 2000  # about half the edits make a fault or another object
+    # A token over int's digit limit fails the one-pass read; the line reader names its line.
+    for text, (parse, emitted, _), kind in zip(_reduction_texts(1, 5, 4), readers, ("edge", "gad")):
+        head, _, _ = text[:-1].rpartition(" ")
+        text = f"{head} {'9' * 5000}\n"
+        assert emitted(text) is None
+        error = outcome_or_error(parse, text)
+        assert error.startswith(f"FormatError: malformed {kind} line: ")
+        assert error == outcome_or_error(parse, "c\n" + text)
 
 
 def _peak(parse, text):

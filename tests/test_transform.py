@@ -25,25 +25,25 @@ from naecut.transform import chain_fault
 
 
 def test_split_leaves_repeat_free_formula_unchanged():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     out, tm = split_repeated_variables(f)
     assert out == f
     assert tm == {1: (1,), 2: (2,), 3: (3,)}
 
 
 def test_split_two_occurrences():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
-    assert [cl.literals for cl in out.clauses] == [(1, 2, 3), (6, 4, 5), (1, -6)]
+    assert list(out.clauses) == [(1, 2, 3), (6, 4, 5), (1, -6)]
     assert tm == {1: (1, 6), 2: (2,), 3: (3,), 4: (4,), 5: (5,)}
 
 
 def test_split_two_repeated_variables():
-    f = CnfFormula.from_ints(4, [[1, 2, 3], [1, 2, 4]])
+    f = CnfFormula(4, [[1, 2, 3], [1, 2, 4]])
     out, tm = split_repeated_variables(f)
     assert out.num_vars == 6
-    assert [cl.literals for cl in out.clauses] == [
+    assert list(out.clauses) == [
         (1, 2, 3),
         (5, 6, 4),
         (1, -5),
@@ -54,7 +54,7 @@ def test_split_two_repeated_variables():
 
 def test_split_rejects_non_monotone_input():
     with pytest.raises(ValueError):
-        split_repeated_variables(CnfFormula.from_ints(2, [[1, -2]]))
+        split_repeated_variables(CnfFormula(2, [[1, -2]]))
 
 
 def test_split_map_invariants_and_size_formula():
@@ -80,13 +80,13 @@ def test_properties_hold_on_split_outputs():
 
 
 def test_properties_pair_cooccurrence_violation():
-    f = CnfFormula.from_ints(4, [[1, 2, 3], [1, 2, 4]])
+    f = CnfFormula(4, [[1, 2, 3], [1, 2, 4]])
     report = check_properties(f)
     assert not report.pair_cooccurrence
 
 
 def test_properties_lone_two_clause_violates_triple_membership():
-    f = CnfFormula.from_ints(2, [[1, -2]])
+    f = CnfFormula(2, [[1, -2]])
     report = check_properties(f)
     assert not report.triple_clause_membership
 
@@ -99,19 +99,19 @@ def reference_check_properties(f):
     pair_uses = {}
     shapes_ok = True
     for clause in f.clauses:
-        neg = sum(1 for x in clause.literals if x < 0)
-        if len(clause.literals) == 3:
+        neg = sum(1 for x in clause if x < 0)
+        if len(clause) == 3:
             if neg != 0:
                 shapes_ok = False
         else:
             if neg != 1:
                 shapes_ok = False
-        for x in clause.literals:
+        for x in clause:
             if x < 0:
                 negated[-x] += 1
-            if len(clause.literals) == 3:
+            if len(clause) == 3:
                 triple_membership[abs(x)] += 1
-        variables = sorted(clause.variables())
+        variables = sorted(map(abs, clause))
         for i in range(len(variables)):
             for j in range(i + 1, len(variables)):
                 pair = (variables[i], variables[j])
@@ -133,7 +133,7 @@ def random_signed_formula(rng):
     for _ in range(rng.randint(1, 8)):
         variables = rng.sample(range(1, n + 1), rng.choice((2, 3)) if n >= 3 else 2)
         clauses.append([x if rng.random() < 0.6 else -x for x in variables])
-    return CnfFormula.from_ints(n, clauses)
+    return CnfFormula(n, clauses)
 
 
 def test_check_properties_matches_the_reference():
@@ -155,14 +155,14 @@ def test_check_properties_matches_the_reference():
 
 
 def test_lift_identity_map():
-    f = CnfFormula.from_ints(3, [[1, 2, 3]])
+    f = CnfFormula(3, [[1, 2, 3]])
     _, tm = split_repeated_variables(f)
     a = {1: True, 2: False, 3: False}
     assert lift_assignment(tm, a) == a
 
 
 def test_lift_copies_share_the_original_value():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     _, tm = split_repeated_variables(f)
     lifted = lift_assignment(tm, {1: True, 2: False, 3: False, 4: True, 5: False})
     assert lifted[1] is True and lifted[6] is True
@@ -182,7 +182,7 @@ def test_lift_preserves_satisfaction():
 
 
 def test_project_forced_values_and_chain_violation():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     _, tm = split_repeated_variables(f)
     base = {2: False, 3: True, 4: False, 5: True}
     assert project_assignment(tm, {**base, 1: False, 6: False})[1] is False
@@ -214,7 +214,7 @@ def test_split_preserves_satisfiability_both_ways():
 
 
 def test_map_serialization_roundtrip():
-    f = CnfFormula.from_ints(5, [[1, 2, 3], [1, 4, 5]])
+    f = CnfFormula(5, [[1, 2, 3], [1, 4, 5]])
     _, tm = split_repeated_variables(f)
     text = emit_transform_map(tm)
     assert text.splitlines()[0] == "map 1 1 6"
@@ -225,7 +225,7 @@ def test_map_serialization_roundtrip():
     text = "p cnf 3 2\r\n1 2 3 0\r\nc note\r\n\r\nc map 1 1 3\r\n  map 2 2\r\n"
     assert parse_transform_map(text) == parse_transform_map(text.encode()) == {1: (1, 3), 2: (2,)}
     # The 0-variable map is empty and reads back; so does a text without `map` lines.
-    _, tm = split_repeated_variables(CnfFormula.from_ints(0, []))
+    _, tm = split_repeated_variables(CnfFormula(0, []))
     assert emit_transform_map(tm) == "\n"
     assert parse_transform_map("\n") == parse_transform_map("no map lines here\n") == tm
 
