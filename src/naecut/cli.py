@@ -19,7 +19,6 @@ from .formula import (
     emit_cnf,
     is_monotone_3sat,
     nae_fault,
-    nae_satisfies,
     occurrence_counts,
     parse_cnf,
 )
@@ -240,7 +239,7 @@ def _roundtrip_trial(f) -> list[str]:
         problems.append("split-equivalence")
     if wit is not None:
         lifted = lift_assignment(tm, wit)
-        if not nae_satisfies(split, lifted):
+        if nae_fault(split, lifted) is not None:
             problems.append("lifted-witness")
         if project_assignment(tm, lifted) != wit:
             problems.append("lift-project-roundtrip")
@@ -261,7 +260,7 @@ def _roundtrip_trial(f) -> list[str]:
         problems.append("cut-equivalence")
     if cut is not None:
         try:
-            if not nae_satisfies(split, cut_to_assignment(rm, cut)):
+            if nae_fault(split, cut_to_assignment(rm, cut)) is not None:
                 problems.append("cut-witness")
         except ValueError:
             problems.append("cut-witness")

@@ -126,7 +126,7 @@ def nae_fault(f: CnfFormula, assignment: Assignment) -> str | None:
 
 
 def nae_satisfies(f: CnfFormula, assignment: Assignment) -> bool:
-    """True iff no clause gets all-equal literal values (2-clauses: values differ)."""
+    """True iff nae_fault finds nothing; serves the benchmark's workloads."""
     return nae_fault(f, assignment) is None
 
 

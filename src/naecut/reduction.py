@@ -16,15 +16,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import FormatError
-from .formula import Assignment, CnfFormula, nae_satisfies
-from .graphs import (
-    Colouring,
-    Cut,
-    Graph,
-    enumerate_triangles,
-    verify_colouring,
-    verify_cut_triangle_free,
-)
+from .formula import Assignment, CnfFormula, nae_fault
+from .graphs import Colouring, Cut, Graph, colouring_fault, cut_fault, enumerate_triangles
 from .textio import MAX_COUNT, columns, decoded, ints, records
 from .transform import check_properties
 
@@ -112,7 +105,7 @@ def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
         colours[a], colours[b], colours[c] = free[:3]
     k = max(colours.values(), default=0)
     colouring = Colouring(colours, k)
-    if not verify_colouring(g, colouring):
+    if colouring_fault(g, colouring) is not None:
         raise AssertionError("constructed colouring is improper; graph is not a reduction output")
     return colouring
 
@@ -125,8 +118,9 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
     internal vertex a joins them and b, c go to the other side, which cuts
     all seven gadget triangles.
     """
-    if not nae_satisfies(f, assignment):
-        raise ValueError("assignment does not NAE-satisfy the formula")
+    fault = nae_fault(f, assignment)
+    if fault is not None:
+        raise ValueError(f"assignment does not NAE-satisfy the formula: {fault}")
     side_a = {x for x in range(1, rm.num_variables + 1) if assignment[x]}
     for x, _, a, b, c in rm.clause_gadget.values():
         if x in side_a:
@@ -139,15 +133,16 @@ def assignment_to_cut(f: CnfFormula, rm: ReductionMap, assignment: Assignment) -
             "assignment sends every vertex to one side; "
             "a formula without 3-clauses has no induced cut"
         )
-    if not verify_cut_triangle_free(rm.graph, cut):
+    if cut_fault(rm.graph, cut) is not None:
         raise AssertionError("induced cut is not triangle-free; reduction structure broken")
     return cut
 
 
 def cut_to_assignment(rm: ReductionMap, cut: Cut) -> Assignment:
     """Read a NAE witness off a triangle-free cut: variable true iff on side A."""
-    if not verify_cut_triangle_free(rm.graph, cut):
-        raise ValueError("cut is not a triangle-free cut of the reduction graph")
+    fault = cut_fault(rm.graph, cut)
+    if fault is not None:
+        raise ValueError(f"cut is not a triangle-free cut of the reduction graph: {fault}")
     return {x: (x in cut.side_a) for x in range(1, rm.num_variables + 1)}
 
 
@@ -174,8 +169,9 @@ def cut_from_vertex_assignment(g: Graph, assignment: Assignment) -> Cut:
             raise ValueError("every vertex lies in a triangle; cannot rebalance the empty side")
         side_a ^= {min(movable)}
     cut = Cut.from_side_a(side_a, n)
-    if not verify_cut_triangle_free(g, cut):
-        raise ValueError("assignment leaves a monochromatic triangle")
+    fault = cut_fault(g, cut)
+    if fault is not None:
+        raise ValueError(f"assignment leaves a {fault}")
     return cut
 
 
@@ -213,13 +209,13 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
     others = sorted(vertices - {x, y})
 
     subsets = [frozenset(s) for r in range(6) for s in itertools.combinations(vertices, r)]
-    cut_sides = [a for a in subsets if verify_cut_triangle_free(g, Cut.from_side_a(a, 5))]
+    cut_sides = [a for a in subsets if cut_fault(g, Cut.from_side_a(a, 5)) is None]
     together = all((x in a) == (y in a) for a in cut_sides)
     cut_exists = bool(cut_sides)
 
     pairs_extend = all(
         any(
-            verify_colouring(g, Colouring({**dict(zip(others, combo)), x: cx, y: cy}, 5))
+            colouring_fault(g, Colouring({**dict(zip(others, combo)), x: cx, y: cy}, 5)) is None
             for combo in itertools.product(range(1, 6), repeat=len(others))
         )
         for cx in range(1, 6)

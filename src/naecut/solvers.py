@@ -37,16 +37,10 @@ from .formula import (
     CnfFormula,
     incidence_graph,
     is_monotone_3sat,
-    nae_satisfies,
+    nae_fault,
     require_variables,
 )
-from .graphs import (
-    Colouring,
-    Cut,
-    Graph,
-    enumerate_triangles,
-    verify_colouring,
-)
+from .graphs import Colouring, Cut, Graph, colouring_fault, enumerate_triangles
 from .reduction import cut_from_vertex_assignment
 from .textio import ints, records
 
@@ -500,7 +494,7 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
     if result is None:
         return None
     witness = {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
-    if not nae_satisfies(f, witness):
+    if nae_fault(f, witness) is not None:
         raise AssertionError("search returned a non-satisfying assignment")
     return witness
 
@@ -547,10 +541,11 @@ def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignmen
     if colouring.k > 4:
         raise ValueError(f"expected at most 4 colours, got {colouring.k}")
     g = incidence_graph(f)
-    if not verify_colouring(g, colouring):
-        raise ValueError("not a proper colouring of the incidence graph")
+    fault = colouring_fault(g, colouring)
+    if fault is not None:
+        raise ValueError(f"not a proper colouring of the incidence graph: {fault}")
     witness = {x: colouring.colours[x] in (1, 2) for x in range(1, f.num_vars + 1)}
-    if not nae_satisfies(f, witness):
+    if nae_fault(f, witness) is not None:
         raise AssertionError("two-colour-class split failed to satisfy the formula")
     return witness
 
@@ -565,8 +560,9 @@ def cut_from_4colouring(g: Graph, colouring: Colouring) -> Cut:
     """
     if colouring.k > 4:
         raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    if not verify_colouring(g, colouring):
-        raise ValueError("not a proper colouring of the graph")
+    fault = colouring_fault(g, colouring)
+    if fault is not None:
+        raise ValueError(f"not a proper colouring of the graph: {fault}")
     colours = colouring.colours
     return cut_from_vertex_assignment(
         g, {v: colours[v] in (1, 2) for v in range(1, g.num_vertices + 1)}

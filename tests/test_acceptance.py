@@ -33,13 +33,12 @@ from naecut import (
     incidence_graph,
     lift_assignment,
     max_degree,
-    nae_satisfies,
     occurrence_counts,
     project_assignment,
     split_repeated_variables,
-    verify_colouring,
-    verify_cut_triangle_free,
 )
+from naecut.formula import nae_fault
+from naecut.graphs import colouring_fault, cut_fault
 
 from helpers import complete_graph
 
@@ -128,7 +127,7 @@ def test_criterion_2_extraction_equivalence(sweep):
             continue
         if r["extracted_witness"] is not None:
             cut = cut_from_vertex_assignment(r["g"], r["extracted_witness"])
-            if not verify_cut_triangle_free(r["g"], cut):
+            if cut_fault(r["g"], cut) is not None:
                 continue
         agree += 1
     ok = agree == SWEEP_TRIALS
@@ -143,7 +142,7 @@ def test_criterion_3_structural_guarantees(sweep):
         if max_degree(g) > 8:
             violations += 1
         colouring = construct_5_colouring(g, rm)
-        if not verify_colouring(g, colouring) or colouring.k > 5:
+        if colouring_fault(g, colouring) is not None or colouring.k > 5:
             violations += 1
         if any(c > 7 for c in occurrence_counts(r["extracted"]).values()):
             violations += 1
@@ -164,7 +163,7 @@ def test_criterion_4_transform_contract(sweep):
         if r["witness"] is None:
             continue
         lifted = lift_assignment(r["tm"], r["witness"])
-        if not nae_satisfies(r["split"], lifted):
+        if nae_fault(r["split"], lifted) is not None:
             roundtrip_ok = False
         if project_assignment(r["tm"], lifted) != r["witness"]:
             roundtrip_ok = False
@@ -215,7 +214,7 @@ def test_criterion_6_four_colouring_fast_paths():
     for f, g, colouring in _fastpath_corpus():
         witness = assignment_from_4colouring(f, colouring)
         cut = cut_from_4colouring(g, colouring)
-        if nae_satisfies(f, witness) and verify_cut_triangle_free(g, cut):
+        if nae_fault(f, witness) is None and cut_fault(g, cut) is None:
             valid += 1
     ok = valid == FASTPATH_TRIALS
     assert _report(f"6 four-colouring fast paths {valid}/{FASTPATH_TRIALS}", ok)
@@ -236,7 +235,7 @@ def _first_cut_by_enumeration(g):
     for bits in itertools.product((False, True), repeat=n - 1):
         side_a = frozenset(v for v, bit in zip(range(2, n + 1), bits) if bit)
         cut = Cut(side_a, frozenset(range(1, n + 1)) - side_a)
-        if verify_cut_triangle_free(g, cut):
+        if cut_fault(g, cut) is None:
             return cut
     return None
 
@@ -256,7 +255,7 @@ def test_criterion_7b_k5_cut_found():
         and expected[0] is None
         and expected[-1] == Cut(frozenset({3, 4, 5}), frozenset({1, 2}))
         and all(
-            cut is not None and verify_cut_triangle_free(g, cut)
+            cut is not None and cut_fault(g, cut) is None
             for g, cut in zip(graphs[1:], cuts[1:])
         )
         and elapsed < 1.0

@@ -195,6 +195,34 @@ def test_solve_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, size, budget, code, expected",
+    [
+        ("solve-nae", 24, None, 0, "s NAE-SATISFIABLE\nv -1 "),
+        ("solve-nae", 25, None, 3, "error: 2^25 candidate assignments exceed the budget of 16777216 states\n"),
+        ("solve-nae", 25, "33554432", 0, "s NAE-SATISFIABLE\nv -1 "),
+        ("solve-cut", 25, None, 0, "s CUT-FOUND\nv 25 0\n"),
+        ("solve-cut", 26, None, 3, "error: 2^25 candidate cuts exceed the budget of 16777216 states\n"),
+    ],
+)
+def test_default_budget_refuses_25_variables_and_26_vertices_up_front(
+    tmp_path, capsys, monkeypatch, command, size, budget, code, expected
+):
+    # The default budget is 2^24 states: 2^n assignments, or 2^(n-1) cuts with
+    # vertex 1 pinned, are checked against it before any search.
+    if budget is not None:
+        monkeypatch.setenv("NAE_REDUCE_BUDGET", budget)
+    if command == "solve-nae":
+        src = tmp_path / "in.cnf"
+        src.write_text(emit_cnf(generate_instance(0, size, size)))
+    else:
+        src = _path_graph(tmp_path, size)
+    assert main([command, str(src)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith(expected)
+    assert (captured.err if code == 0 else captured.out) == ""
+
+
 def test_color_command(tmp_path, capsys):
     k3 = tmp_path / "k3.graph"
     k3.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
@@ -660,13 +688,13 @@ def _raise_value_error(*args):
 _TRIAL_FAULTS = {
     "split-properties": ("check_properties", _always(PropertyReport(False, *[True] * 5))),
     "split-equivalence": ("brute_force_nae", _nth_call(2, None)),
-    "lifted-witness": ("nae_satisfies", _nth_call(1, False)),
+    "lifted-witness": ("nae_fault", _nth_call(1, "stand-in")),
     "lift-project-roundtrip": ("project_assignment", _always({})),
     "degree-bound": ("max_degree", _always(9)),
     "colour-bound": ("construct_5_colouring", _always(SimpleNamespace(k=6))),
     "gadget-triangles": ("enumerate_triangles", _always([])),
     "cut-equivalence": ("brute_force_cut", _always(None)),
-    "cut-witness": ("nae_satisfies", _nth_call(2, False)),
+    "cut-witness": ("nae_fault", _nth_call(2, "stand-in")),
     "extraction-equivalence": ("brute_force_nae", _nth_call(3, None)),
     "extraction-cut": ("cut_from_vertex_assignment", lambda real: _raise_value_error),
     "extraction-occurrences": ("occurrence_counts", _always({1: 8})),

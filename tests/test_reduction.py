@@ -31,7 +31,6 @@ from naecut import (
     incidence_graph,
     lift_assignment,
     max_degree,
-    nae_satisfies,
     occurrence_counts,
     parse_cnf,
     parse_colouring,
@@ -42,9 +41,9 @@ from naecut import (
     parse_transform_map,
     split_repeated_variables,
     transform_map_comments,
-    verify_colouring,
-    verify_cut_triangle_free,
 )
+from naecut.formula import nae_fault
+from naecut.graphs import colouring_fault, cut_fault
 
 from helpers import complete_graph
 
@@ -65,7 +64,7 @@ def test_build_with_one_gadget():
     # Split of {(1,2,3),(1,4,5)}: two triangles plus one gadget joining 1 and 6.
     g, rm = build_graph(split_example())
     assert g.num_vertices == 9
-    assert len(g.edges) == 6 + 9
+    assert g.num_edges == 6 + 9
     triangles = enumerate_triangles(g)
     assert len(triangles) == 2 + 7
     assert rm.clause_gadget[3] == (1, 6, 7, 8, 9)
@@ -293,7 +292,7 @@ def test_colouring_gadget_avoids_endpoint_colours():
     x, y, *face = rm.clause_gadget[3]
     assert {c.colours[x], c.colours[y]} == {1, 3}
     assert {c.colours[v] for v in face} == {2, 4, 5}
-    assert verify_colouring(g, c)
+    assert colouring_fault(g, c) is None
 
 
 def test_colouring_endpoint_pair_one_two_forces_top_three():
@@ -306,7 +305,7 @@ def test_colouring_endpoint_pair_one_two_forces_top_three():
     x, y, *face = rm.clause_gadget[3]
     assert (c.colours[x], c.colours[y]) == (1, 2)
     assert {c.colours[v] for v in face} == {3, 4, 5}
-    assert verify_colouring(g, c) and c.k == 5
+    assert colouring_fault(g, c) is None and c.k == 5
 
 
 def test_colouring_equal_endpoint_colours():
@@ -320,7 +319,15 @@ def test_colouring_equal_endpoint_colours():
     x, y, *face = rm.clause_gadget[5]
     assert c.colours[x] == c.colours[y] == 3
     assert {c.colours[v] for v in face} == {1, 2, 4}
-    assert verify_colouring(g, c) and c.k <= 5
+    assert colouring_fault(g, c) is None and c.k <= 5
+
+
+def test_construct_5_colouring_refuses_a_graph_the_map_does_not_describe():
+    # Both triangles give their smallest vertex colour 1; an extra edge joins them.
+    g, rm = build_graph(CnfFormula(6, [[1, 2, 3], [4, 5, 6]]))
+    g_plus_edge = Graph(g.num_vertices, g.sorted_edges() + [(1, 4)])
+    with pytest.raises(AssertionError, match="^constructed colouring is improper; graph is not"):
+        construct_5_colouring(g_plus_edge, rm)
 
 
 def test_assignment_to_cut_single_triangle():
@@ -338,14 +345,25 @@ def test_assignment_to_cut_places_gadget_internals():
     gadget = rm.clause_gadget[3]
     assert set(gadget[:3]) <= cut.side_a
     assert set(gadget[3:]) <= cut.side_b
-    assert verify_cut_triangle_free(g, cut)
+    assert cut_fault(g, cut) is None
 
 
 def test_assignment_to_cut_rejects_non_witness():
     f = CnfFormula(3, [[1, 2, 3]])
     _, rm = build_graph(f)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^assignment does not NAE-satisfy the formula: clause 1 \(1 2 3\) has all-equal values$",
+    ):
         assignment_to_cut(f, rm, {1: True, 2: True, 3: True})
+
+
+def test_assignment_to_cut_checks_its_own_cut(monkeypatch):
+    f = CnfFormula(3, [[1, 2, 3]])
+    _, rm = build_graph(f)
+    monkeypatch.setattr("naecut.reduction.cut_fault", lambda g, cut: "stand-in")
+    with pytest.raises(AssertionError, match="^induced cut is not triangle-free; reduction structure"):
+        assignment_to_cut(f, rm, {1: True, 2: True, 3: False})
 
 
 def test_assignment_to_cut_rejects_a_one_sided_cut():
@@ -368,7 +386,7 @@ def test_assignment_to_cut_property_sweep():
             continue
         g, rm = build_graph(out)
         cut = assignment_to_cut(out, rm, witness)
-        assert verify_cut_triangle_free(g, cut)
+        assert cut_fault(g, cut) is None
         checked += 1
     assert checked >= 120
 
@@ -378,14 +396,18 @@ def test_cut_to_assignment_single_triangle():
     _, rm = build_graph(f)
     a = cut_to_assignment(rm, Cut(frozenset({1}), frozenset({2, 3})))
     assert a == {1: True, 2: False, 3: False}
-    assert nae_satisfies(f, a)
+    assert nae_fault(f, a) is None
 
 
 def test_cut_to_assignment_rejects_bad_cut():
     f = CnfFormula(3, [[1, 2, 3]])
     _, rm = build_graph(f)
-    with pytest.raises(ValueError):
+    bad_cut = "^cut is not a triangle-free cut of the reduction graph: "
+    with pytest.raises(ValueError, match=bad_cut + "one side of the cut is empty$"):
         cut_to_assignment(rm, Cut(frozenset({1, 2, 3}), frozenset()))
+    _, rm = build_graph(CnfFormula(4, [[1, 2, 3]]))
+    with pytest.raises(ValueError, match=bad_cut + "monochromatic triangle 1 2 3$"):
+        cut_to_assignment(rm, Cut(frozenset({4}), frozenset({1, 2, 3})))
 
 
 def test_canonical_gadget_is_the_map_gadget_on_one_to_five():
@@ -399,7 +421,7 @@ def test_gadget_cuts_keep_endpoints_together_exhaustively():
     for bits in itertools.product((False, True), repeat=5):
         side_a = frozenset(v for v, b in zip(range(1, 6), bits) if b)
         cut = Cut(side_a, frozenset(range(1, 6)) - side_a)
-        if verify_cut_triangle_free(g, cut):
+        if cut_fault(g, cut) is None:
             assert (x in side_a) == (y in side_a)
 
 
@@ -461,7 +483,7 @@ def test_extract_nae_matches_bipartition_semantics():
         for bits in itertools.product((False, True), repeat=n):
             a = {v: bits[v - 1] for v in range(1, n + 1)}
             mono = any(a[u] == a[v] == a[w] for u, v, w in triangles)
-            assert nae_satisfies(f, a) == (not mono)
+            assert (nae_fault(f, a) is None) == (not mono)
 
 
 def test_extract_incidence_is_subgraph_of_source():
@@ -471,20 +493,20 @@ def test_extract_incidence_is_subgraph_of_source():
         g, _ = build_graph(out)
         extracted, _ = extract_nae(g)
         inc = incidence_graph(extracted)
-        assert inc.edges <= g.edges
+        assert set(inc.sorted_edges()) <= set(g.sorted_edges())
 
 
 def test_cut_from_vertex_assignment_rebalances():
     g = Graph(3, [(1, 2)])  # triangle-free, all vertices movable
     cut = cut_from_vertex_assignment(g, {1: False, 2: False, 3: False})
     assert cut.side_a == frozenset({1})
-    assert verify_cut_triangle_free(g, cut)
+    assert cut_fault(g, cut) is None
     with pytest.raises(ValueError):
         cut_from_vertex_assignment(complete_graph(3), {1: True, 2: True, 3: True})
     with pytest.raises(ValueError, match="^a cut needs at least two vertices$"):
         cut_from_vertex_assignment(Graph(1), {1: True})
     k3_and_lone_vertex = Graph(4, [(1, 2), (1, 3), (2, 3)])
-    with pytest.raises(ValueError, match="^assignment leaves a monochromatic triangle$"):
+    with pytest.raises(ValueError, match="^assignment leaves a monochromatic triangle 1 2 3$"):
         cut_from_vertex_assignment(k3_and_lone_vertex, {1: True, 2: True, 3: True, 4: False})
 
 

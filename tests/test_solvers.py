@@ -25,12 +25,12 @@ from naecut import (
     find_k_colouring,
     generate_instance,
     incidence_graph,
-    nae_satisfies,
     parse_cut_witness,
     parse_nae_witness,
     split_repeated_variables,
-    verify_cut_triangle_free,
 )
+from naecut.formula import nae_fault
+from naecut.graphs import cut_fault
 
 from helpers import complete_graph
 
@@ -183,7 +183,7 @@ def test_nae_budget_precheck_and_distinction():
 def test_cut_k3():
     cut = brute_force_cut(complete_graph(3))
     assert sorted(map(len, (cut.side_a, cut.side_b))) == [1, 2]
-    assert verify_cut_triangle_free(complete_graph(3), cut)
+    assert cut_fault(complete_graph(3), cut) is None
 
 
 def test_cut_complete_graph_boundary():
@@ -282,7 +282,7 @@ def _check_cut_against_formula(f, g):
     witness = brute_force_nae(f, exhaustive_budget(f.num_vars))
     assert cut is not None
     assert witness is not None
-    assert verify_cut_triangle_free(g, cut)
+    assert cut_fault(g, cut) is None
     assert {x: x in cut.side_a for x in range(1, f.num_vars + 1)} == witness
 
 
@@ -372,14 +372,14 @@ def _triangles_of(n, edges):
 def _gadget_dense_graphs():
     k5 = list(itertools.combinations(range(1, 6), 2))
     k6 = list(itertools.combinations(range(1, 7), 2))
-    chain2 = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).edges)
-    chain3 = _tetrahedra(12, (11, 12, 4), (3, 10), extra=chain2.edges)
+    chain2 = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).sorted_edges())
+    chain3 = _tetrahedra(12, (11, 12, 4), (3, 10), extra=chain2.sorted_edges())
     graphs = [_tetrahedra(3 + k, (1, 2, 3), range(4, 4 + k)) for k in (2, 3, 4)]
     graphs += [
         # two faces sharing the apex 4, each with a second apex
-        _tetrahedra(9, (1, 2, 3), (4, 8), extra=_tetrahedra(9, (5, 6, 7), (4, 9)).edges),
+        _tetrahedra(9, (1, 2, 3), (4, 8), extra=_tetrahedra(9, (5, 6, 7), (4, 9)).sorted_edges()),
         # the shared apex lies on the other face
-        _tetrahedra(8, (1, 2, 3), (4, 5), extra=_tetrahedra(8, (4, 6, 7), (8,)).edges),
+        _tetrahedra(8, (1, 2, 3), (4, 5), extra=_tetrahedra(8, (4, 6, 7), (8,)).sorted_edges()),
         chain2,
         Graph(9, chain2.sorted_edges() + [(1, 3), (1, 7), (3, 7)]),
         chain3,
@@ -620,13 +620,13 @@ def test_apex_equalities_keep_a_renumbered_reduction_graph_tractable():
     split, _ = split_repeated_variables(generate_instance(0, 64, 96))
     g, rm = build_graph(split)
     n = g.num_vertices
-    reversed_g = Graph(n, [(n + 1 - u, n + 1 - v) for u, v in g.edges])
+    reversed_g = Graph(n, [(n + 1 - u, n + 1 - v) for u, v in g.sorted_edges()])
     engine = _NaeEngine(n, enumerate_triangles(reversed_g))
     assert engine.merged == len(rm.clause_gadget) == 225
     assert engine.eliminated == 0
     model = engine.solve(5_000)
     assert model is not None
-    assert verify_cut_triangle_free(reversed_g, Cut.from_side_a((v for v in range(1, n + 1) if model[v]), n))
+    assert cut_fault(reversed_g, Cut.from_side_a((v for v in range(1, n + 1) if model[v]), n)) is None
 
 
 def test_presolve_leaves_the_original_variables_of_a_reduction_graph():
@@ -674,7 +674,7 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     f = CnfFormula(8, nested)
     assert brute_force_nae(f) == naive_nae_smallest(f)
 
-    chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).edges)
+    chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).sorted_edges())
     graphs = [
         # faces with three and four apexes below them
         _tetrahedra(3 + k, (k + 1, k + 2, k + 3), range(1, k + 1)) for k in (3, 4)
@@ -686,7 +686,7 @@ def test_presolve_peels_only_trailing_gadget_interiors():
         _tetrahedra(5, (3, 4, 5), (1, 2), extra=[(1, 2)]),
         # two gadgets sharing the apex 2, the other apex of one lying in
         # the other's interior
-        _tetrahedra(8, (6, 7, 8), (1, 2), extra=_tetrahedra(8, (3, 4, 5), (2, 8)).edges),
+        _tetrahedra(8, (6, 7, 8), (1, 2), extra=_tetrahedra(8, (3, 4, 5), (2, 8)).sorted_edges()),
     ]
     for g in graphs:
         assert peeled(g.num_vertices, enumerate_triangles(g)) == 0
@@ -719,6 +719,16 @@ def test_cut_oracle_refuses_an_invalid_engine_model(monkeypatch, side_a):
     monkeypatch.setattr(solvers._NaeEngine, "solve", lambda self, max_states: [v in side_a for v in range(6)])
     with pytest.raises(AssertionError, match="search returned an invalid cut"):
         brute_force_cut(g)
+
+
+def test_nae_oracle_refuses_a_non_satisfying_engine_model(monkeypatch):
+    # brute_force_nae checks the engine's model against the formula: all False
+    # leaves the clause 1 2 3 all-equal.
+    from naecut import solvers
+
+    monkeypatch.setattr(solvers._NaeEngine, "solve", lambda self, max_states: [False] * 4)
+    with pytest.raises(AssertionError, match="^search returned a non-satisfying assignment$"):
+        brute_force_nae(CnfFormula(3, [[1, 2, 3]]))
 
 
 def test_presolve_collapses_repeated_literals_and_refutes():
@@ -755,21 +765,23 @@ def test_extraction_cut_oracle_agreement():
         assert (cut is None) == (witness is None)
         if witness is not None:
             rebalanced = cut_from_vertex_assignment(g, witness)
-            assert verify_cut_triangle_free(g, rebalanced)
+            assert cut_fault(g, rebalanced) is None
 
 
 def test_assignment_from_4colouring_triangle():
     f = CnfFormula(3, [[1, 2, 3]])
     a = assignment_from_4colouring(f, Colouring({1: 1, 2: 2, 3: 3}, 3))
     assert a == {1: True, 2: True, 3: False}
-    assert nae_satisfies(f, a)
+    assert nae_fault(f, a) is None
 
 
 def test_assignment_from_4colouring_rejects_five_colours():
     f = CnfFormula(3, [[1, 2, 3]])
     with pytest.raises(ValueError):
         assignment_from_4colouring(f, Colouring({1: 1, 2: 2, 3: 5}, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^not a proper colouring of the incidence graph: edge 1 2 is monochromatic$"
+    ):
         assignment_from_4colouring(f, Colouring({1: 1, 2: 1, 3: 2}, 4))
     with pytest.raises(ValueError, match="requires monotone 3-SAT input"):
         assignment_from_4colouring(CnfFormula(2, [[1, -2]]), Colouring({1: 1, 2: 2}, 2))
@@ -789,9 +801,16 @@ def test_assignment_from_4colouring_property_sweep():
         if colouring is None:
             continue
         witness = assignment_from_4colouring(f, colouring)
-        assert nae_satisfies(f, witness)
+        assert nae_fault(f, witness) is None
         found += 1
     assert found == 100
+
+
+def test_assignment_from_4colouring_checks_its_witness(monkeypatch):
+    f = CnfFormula(3, [[1, 2, 3]])
+    monkeypatch.setattr("naecut.solvers.nae_fault", lambda f, assignment: "stand-in")
+    with pytest.raises(AssertionError, match="^two-colour-class split failed to satisfy the formula$"):
+        assignment_from_4colouring(f, Colouring({1: 1, 2: 2, 3: 3}, 3))
 
 
 def test_cut_from_4colouring_triangle():
@@ -803,21 +822,21 @@ def test_cut_from_4colouring_triangle():
 def test_cut_from_4colouring_bipartite():
     g = Graph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
     cut = cut_from_4colouring(g, Colouring({1: 1, 2: 1, 3: 2, 4: 2}, 2))
-    assert verify_cut_triangle_free(g, cut)
+    assert cut_fault(g, cut) is None
 
 
 def test_cut_from_4colouring_rebalances_empty_side():
     g = Graph(3, [(1, 2), (2, 3)])
     cut = cut_from_4colouring(g, Colouring({1: 1, 2: 2, 3: 1}, 2))
     assert cut.side_b == frozenset({1})
-    assert verify_cut_triangle_free(g, cut)
+    assert cut_fault(g, cut) is None
     # Only colours 3 and 4: every vertex starts on side B and vertex 1 moves to A.
     cut = cut_from_4colouring(g, Colouring({1: 3, 2: 4, 3: 3}, 4))
     assert cut == Cut(frozenset({1}), frozenset({2, 3}))
 
 
 def test_cut_from_4colouring_rejects_improper():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a proper colouring of the graph: edge 1 2 is monochromatic$"):
         cut_from_4colouring(complete_graph(3), Colouring({1: 1, 2: 1, 3: 2}, 4))
     with pytest.raises(ValueError, match="^expected at most 4 colours, got 5$"):
         cut_from_4colouring(complete_graph(3), Colouring({1: 1, 2: 2, 3: 3}, 5))
@@ -958,8 +977,8 @@ def test_returned_witnesses_are_always_valid():
         f = generate_instance(seed, 3 + seed % 9, 1 + seed % 10)
         witness = brute_force_nae(f, exhaustive_budget(f.num_vars))
         if witness is not None:
-            assert nae_satisfies(f, witness)
+            assert nae_fault(f, witness) is None
         g = random_graph(seed, 3 + seed % 7)
         cut = brute_force_cut(g)
         if cut is not None:
-            assert verify_cut_triangle_free(g, cut)
+            assert cut_fault(g, cut) is None
