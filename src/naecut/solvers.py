@@ -5,10 +5,12 @@ groups" (a clause's literals, or a triangle's vertices read as side bits).
 Each group is stored once, listed under each of its variables, and checked
 whenever one of them is assigned.  A conflict teaches the engine a clause
 and sends it back to the level where that clause is unit; decisions follow
-variable activity.  The smallest witness is then fixed variable by variable
+variable activity, which starts at each variable's group count for the
+first model.  The smallest witness is then fixed variable by variable
 in index order: a variable is False when some model extends the values
 fixed so far with it False, which the last model or one solve under that
-assumption shows, and True otherwise.
+assumption shows, and True otherwise.  Those solves start from zero
+activity, so they decide in index order, near the smallest witness.
 
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
@@ -207,9 +209,12 @@ class _NaeEngine:
     A conflict yields a first-UIP clause, minus literals whose reasons it
     already covers, and a jump back to the level where it is unit.
     Decisions take the most active free variable (VSIDS) and set it False.
-    The heap holds at most one entry per variable with its current activity
-    (`queued`): a bump makes that entry stale, and a backjump pushes only
-    the variables without a live one.
+    The first search starts each activity at the variable's number of
+    presolved groups, as Chaff starts its scores at literal counts, so it
+    decides the busiest variables first.  The heap holds at most one entry
+    per variable with its current activity (`queued`): a bump makes that
+    entry stale, and a backjump pushes only the variables without a live
+    one.
 
     `__init__` takes groups of 2 or 3 literals over distinct variables and
     presolves them (`_presolve`): it peels trailing gadget interiors,
@@ -219,16 +224,20 @@ class _NaeEngine:
     peeled variables and `merged` those merged into a smaller index.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a
-    first model, then fixes variables in index order, each as a level-0
-    unit since it holds in every later solve.  Variable i is fixed False
-    when the last model has it False, True when the fixed prefix implies
-    it, and otherwise by one solve that assumes i False at level 1: a model
-    found there replaces the last one, a refutation fixes i True.  Each step
-    keeps the smaller value exactly when some model extends the prefix with
-    it, so the last model is the lexicographically smallest.  It then maps
-    the model back to every input variable through the signed search
-    variables `lits` of the presolve.  Budget states are decisions, counted
-    across every solve of one `solve` call.
+    first model, then sets every activity back to zero and fixes variables
+    in index order, each as a level-0 unit since it holds in every later
+    solve.  The reset matters: with the first search's scores kept, the
+    solves below decide far from the smallest witness and there are more
+    of them (534 against 137 over 15 reduction graphs of 64-1024
+    variables).  Variable i is fixed False when the last model has it
+    False, True when the fixed prefix implies it, and otherwise by one
+    solve that assumes i False at level 1: a model found there replaces
+    the last one, a refutation fixes i True.  Each step keeps the smaller
+    value exactly when some model extends the prefix with it, so the last
+    model is the lexicographically smallest.  It then maps the model back
+    to every input variable through the signed search variables `lits` of
+    the presolve.  Budget states are decisions, counted across every solve
+    of one `solve` call.
     """
 
     def __init__(self, num_vars: int, groups):
@@ -249,11 +258,11 @@ class _NaeEngine:
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
-        self.activity = [0.0] * (n + 1)
+        self.activity = [float(len(o)) for o in self.occ]
         self.inc = 1.0
-        self.heap = [(0.0, v) for v in range(1, n + 1)]
         # queued[v]: the heap holds an entry for v carrying its current activity.
-        self.queued = bytearray(b"\x01" * (n + 1))
+        self.queued = bytearray(n + 1)
+        self._rebuild_heap()
         self.seen = bytearray(n + 1)
         self.decisions = self.propagations = self.conflicts = self.learned = 0
         self.solves = self.max_depth = 0
@@ -462,6 +471,10 @@ class _NaeEngine:
             return None
         model = self.val[::2]
         self._backtrack(0)
+        # The lex-min solves start from zero activity, deciding in index order.
+        self.activity = [0.0] * (self.n + 1)
+        self.inc = 1.0
+        self._rebuild_heap()
         val = self.val
         for i in range(2, self.n + 1):
             if val[2 * i] is None:

@@ -309,10 +309,10 @@ def _traced_peak(num_vars, groups):
 
 def test_engine_peak_memory():
     # The engine stores each triangle once, as one tuple of literal codes
-    # listed under its three variables.  On a formula that takes 482
-    # conflicts to refute (about 720 bytes per clause), the peak stays
+    # listed under its three variables.  On a formula that takes 658
+    # conflicts to refute (about 870 bytes per clause), the peak stays
     # bounded because the decision heap is rebuilt before it outgrows 2n
-    # entries (without that it reads about 2,700 bytes per clause).
+    # entries (without that it reads about 4,100 bytes per clause).
     from naecut import build_graph
 
     split, _ = split_repeated_variables(generate_instance(0, 256, 384))
@@ -321,8 +321,8 @@ def test_engine_peak_memory():
     assert len(triangles) == 6684
     peak, _ = _traced_peak(g.num_vertices, triangles)
     assert peak < 520 * len(triangles)
-    f = generate_instance(3, 100, 210)
-    peak, engine = _traced_peak(100, f.clauses)
+    f = generate_instance(1, 120, 252)
+    peak, engine = _traced_peak(120, f.clauses)
     assert engine.conflicts > 400
     assert peak < 2000 * len(f.clauses)
 
@@ -495,6 +495,53 @@ def test_propagation_reaches_a_fixpoint_on_every_group():
     assert checks > 1000 and conflicts > 300 and negative >= 30
 
 
+def _recording_engine(num_vars, groups):
+    """An engine that records each decision literal, and the activities and
+    increment at the start of each solve."""
+    from naecut.solvers import _NaeEngine
+
+    engine = _NaeEngine(num_vars, groups)
+    decide, search = engine._decide, engine._search
+    engine.decided, engine.starts = [], []
+
+    def recorded_decide(lit):
+        opened = decide(lit)
+        if opened:
+            engine.decided.append(engine.trail[-1])
+        return opened
+
+    def recorded_search(assume):
+        engine.starts.append((list(engine.activity), engine.inc))
+        return search(assume)
+
+    engine._decide, engine._search = recorded_decide, recorded_search
+    return engine
+
+
+def test_first_search_decides_the_most_frequent_variable_first():
+    # Variable 5 lies in four groups, more than any other, so the first
+    # search decides it (False) before the smaller free variables 2, 3, 4.
+    groups = [(1, -2, 3), (2, -5, 6), (-3, 5, 4), (4, -5, 6), (5, -6, 2)]
+    engine = _recording_engine(6, groups)
+    assert engine.lits == list(range(7))  # the presolve renumbers nothing
+    model = engine.solve(2**30)
+    assert engine.starts[0] == ([0.0, 1.0, 3.0, 2.0, 2.0, 4.0, 3.0], 1.0)
+    assert engine.decided[0] == 2 * 5 + 1
+    f = CnfFormula(6, groups)
+    assert {x: model[x] for x in range(1, 7)} == naive_nae_smallest(f)
+
+
+def test_lex_min_phase_starts_from_zero_activity():
+    # The first search starts from the occurrence counts; its activities
+    # are dropped before the lex-min solves, so those decide in index order.
+    f = generate_instance(0, 100, 210)
+    engine = _recording_engine(100, f.clauses)
+    assert engine.solve(2**30) is not None
+    assert engine.solves == len(engine.starts) > 2 and engine.conflicts > 0
+    assert engine.starts[0] == ([float(len(o)) for o in engine.occ], 1.0)
+    assert engine.starts[1] == ([0.0] * 101, 1.0)
+
+
 _COUNTERS = ("decisions", "propagations", "conflicts", "learned", "solves", "max_depth")
 
 
@@ -611,8 +658,8 @@ def test_apex_equalities_need_four_positive_groups():
 def test_apex_equalities_keep_a_renumbered_reduction_graph_tractable():
     # Numbered backwards, a reduction graph has no gadget interior on top,
     # so nothing peels and only the apex scan can equate each gadget's two
-    # apexes.  With it the search takes about 800 decisions; without it
-    # about 45,000, over the budget.  The engine is built directly, since
+    # apexes.  With it the search takes about 1,100 decisions; without it
+    # about 59,000, over the budget.  The engine is built directly, since
     # brute_force_cut's 2^n check refuses a graph this size at that budget.
     from naecut import build_graph
     from naecut.solvers import _NaeEngine
@@ -861,6 +908,27 @@ def test_generator_is_deterministic():
     ):
         text = emit_cnf(generate_instance(*args))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, args
+
+
+def test_witness_bytes_are_pinned():
+    # The lex-min witness is unique, so a change to the search heuristics
+    # must leave these bytes as they are; any change here is a wrong answer.
+    def short(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    for (seed, n), digest in (
+        ((0, 100), "f738dd4d89faa044"),
+        ((4, 110), "1e720b458185841a"),
+        ((2, 130), "e5007944029dd125"),
+        ((2, 140), "2313483fd3c441c4"),
+        ((3, 100), "95e48c067f800115"),  # s NAE-UNSATISFIABLE
+        ((1, 120), "95e48c067f800115"),
+    ):
+        f = generate_instance(seed, n, round(2.1 * n))
+        assert short(emit_nae_witness(brute_force_nae(f, exhaustive_budget(n)))) == digest, (seed, n)
+    _, g = _reduction_graph(0, 512)
+    cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
+    assert short(emit_cut_witness(cut)) == "a95bb4781ad52ce2"
 
 
 def test_generator_distinct_pairs():
