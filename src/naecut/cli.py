@@ -11,7 +11,6 @@ import argparse
 import os
 import random
 import sys
-from collections import Counter
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
@@ -116,24 +115,18 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def cmd_solve_nae(args) -> int:
-    f = parse_cnf(_read(args.cnf))
-    witness = brute_force_nae(f, _budget_from_env())
-    text = emit_nae_witness(witness)
+def cmd_solve(args) -> int:
+    # Built on each call: the benchmark's tracer rebinds this module's library names.
+    read, solve, emit = {
+        "solve-nae": (parse_cnf, brute_force_nae, emit_nae_witness),
+        "solve-cut": (parse_graph, brute_force_cut, emit_cut_witness),
+    }[args.command]
+    witness = solve(read(_read(args.input)), _budget_from_env())
+    text = emit(witness)
     print(text, end="")
     if args.output:
         _write(args.output, text)
     return 0 if witness is not None else 1
-
-
-def cmd_solve_cut(args) -> int:
-    g = parse_graph(_read(args.graph))
-    cut = brute_force_cut(g, _budget_from_env())
-    text = emit_cut_witness(cut)
-    print(text, end="")
-    if args.output:
-        _write(args.output, text)
-    return 0 if cut is not None else 1
 
 
 def cmd_color(args) -> int:
@@ -250,7 +243,9 @@ def _roundtrip_trial(f) -> list[str]:
     colouring = construct_5_colouring(g, rm)
     if colouring.k > 5:
         problems.append("colour-bound")
-    per_vertex = Counter(v for tri in enumerate_triangles(g) for v in tri)
+    extracted, _ = extract_nae(g)
+    # extracted's clauses are g's triangles, so its occurrence counts are triangle counts.
+    per_vertex = occurrence_counts(extracted)
     internal = [v for gd in rm.clause_gadget.values() for v in gd[2:]]
     if any(per_vertex[v] != 5 for v in internal):
         problems.append("gadget-triangles")
@@ -265,7 +260,6 @@ def _roundtrip_trial(f) -> list[str]:
         except ValueError:
             problems.append("cut-witness")
 
-    extracted, _ = extract_nae(g)
     wit_extracted = brute_force_nae(extracted, exhaustive_budget(extracted.num_vars))
     if (wit_extracted is None) != (wit is None):
         problems.append("extraction-equivalence")
@@ -274,7 +268,7 @@ def _roundtrip_trial(f) -> list[str]:
             cut_from_vertex_assignment(g, wit_extracted)
         except ValueError:
             problems.append("extraction-cut")
-    if any(c > 7 for c in occurrence_counts(extracted).values()):
+    if any(c > 7 for c in per_vertex.values()):
         problems.append("extraction-occurrences")
     return problems
 
@@ -323,15 +317,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("solve-nae", help="decide NAE satisfiability exhaustively")
-    p.add_argument("cnf")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_solve_nae)
-
-    p = sub.add_parser("solve-cut", help="decide triangle-free cut existence exhaustively")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_solve_cut)
+    for command, noun, witness in (
+        ("solve-nae", "cnf", "NAE assignment"),
+        ("solve-cut", "graph", "triangle-free cut"),
+    ):
+        help_line = f"exact conflict-driven search for the lexicographically smallest {witness}"
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("input", metavar=noun)
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("color", help="search for a proper k-colouring")
     p.add_argument("graph")

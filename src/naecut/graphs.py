@@ -128,11 +128,9 @@ def _edge_lines(text: str):
                 raise FormatError("edge line before 'p edge' header")
             if len(tokens) != 3:
                 raise FormatError(f"malformed edge line: {line!r}")
-            try:
-                us.append(int(tokens[1]))
-                vs.append(int(tokens[2]))
-            except ValueError:
-                raise FormatError(f"malformed edge line: {line!r}") from None
+            u, v = ints(tokens[1:], "edge line", line)
+            us.append(u)
+            vs.append(v)
         elif tokens[0] == "p":
             if header is not None:
                 raise FormatError("duplicate 'p edge' header")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import FormatError
-from .formula import Assignment, CnfFormula, nae_fault
+from .formula import Assignment, CnfFormula, nae_fault, require_variables
 from .graphs import Colouring, Cut, Graph, colouring_fault, cut_fault, enumerate_triangles
 from .textio import MAX_COUNT, columns, decoded, ints, records
 from .transform import check_properties
@@ -161,6 +161,7 @@ def cut_from_vertex_assignment(g: Graph, assignment: Assignment) -> Cut:
     n = g.num_vertices
     if n < 2:
         raise ValueError("a cut needs at least two vertices")
+    require_variables(assignment, range(1, n + 1))
     side_a = {v for v in range(1, n + 1) if assignment[v]}
     if len(side_a) in (0, n):
         covered = {v for tri in enumerate_triangles(g) for v in tri}
@@ -206,6 +207,8 @@ def gadget_certify(g: Graph, x: int, y: int) -> GadgetCertificate:
     if g.num_vertices != 5:
         raise ValueError("gadget certification expects a graph on 5 vertices")
     vertices = frozenset(range(1, 6))
+    if x == y or not {x, y} <= vertices:
+        raise ValueError(f"gadget endpoints must be two distinct vertices of 1..5, got {x} and {y}")
     others = sorted(vertices - {x, y})
 
     subsets = [frozenset(s) for r in range(6) for s in itertools.combinations(vertices, r)]

@@ -542,6 +542,17 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
     return Cut.from_side_a((v for v in range(1, n + 1) if result[v]), n)
 
 
+def _split_4colouring(g: Graph, colouring: Colouring, noun: str) -> Assignment:
+    """Each vertex of g True iff its colour is 1 or 2; ValueError unless the
+    colouring is a proper colouring of g (the `noun`) with at most 4 colours."""
+    if colouring.k > 4:
+        raise ValueError(f"expected at most 4 colours, got {colouring.k}")
+    fault = colouring_fault(g, colouring)
+    if fault is not None:
+        raise ValueError(f"not a proper colouring of the {noun}: {fault}")
+    return {v: colouring.colours[v] in (1, 2) for v in range(1, g.num_vertices + 1)}
+
+
 def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignment:
     """NAE witness from a proper 4-colouring of the incidence graph.
 
@@ -551,13 +562,7 @@ def assignment_from_4colouring(f: CnfFormula, colouring: Colouring) -> Assignmen
     """
     if not is_monotone_3sat(f):
         raise ValueError("fast path requires monotone 3-SAT input")
-    if colouring.k > 4:
-        raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    g = incidence_graph(f)
-    fault = colouring_fault(g, colouring)
-    if fault is not None:
-        raise ValueError(f"not a proper colouring of the incidence graph: {fault}")
-    witness = {x: colouring.colours[x] in (1, 2) for x in range(1, f.num_vars + 1)}
+    witness = _split_4colouring(incidence_graph(f), colouring, "incidence graph")
     if nae_fault(f, witness) is not None:
         raise AssertionError("two-colour-class split failed to satisfy the formula")
     return witness
@@ -571,15 +576,7 @@ def cut_from_4colouring(g: Graph, colouring: Colouring) -> Cut:
     split is rebalanced as in cut_from_vertex_assignment: such a colouring
     uses two colours, the graph is bipartite, and vertex 1 moves over.
     """
-    if colouring.k > 4:
-        raise ValueError(f"expected at most 4 colours, got {colouring.k}")
-    fault = colouring_fault(g, colouring)
-    if fault is not None:
-        raise ValueError(f"not a proper colouring of the graph: {fault}")
-    colours = colouring.colours
-    return cut_from_vertex_assignment(
-        g, {v: colours[v] in (1, 2) for v in range(1, g.num_vertices + 1)}
-    )
+    return cut_from_vertex_assignment(g, _split_4colouring(g, colouring, "graph"))
 
 
 def randbelow(rng: random.Random, bound: int) -> int:

@@ -666,6 +666,39 @@ def test_roundtrip_break_gadget_detects_failures(capsys, monkeypatch):
     assert "unrecognized arguments: --break-gadget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, noun", [("solve-nae", "cnf"), ("solve-cut", "graph")])
+def test_solve_usage_names_its_input(capsys, command, noun):
+    usage = f"usage: naecut {command} [-h] [-o OUTPUT] {noun}\n"
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"{usage}naecut {command}: error: the following arguments are required: {noun}\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"{usage}\npositional arguments:\n  {noun}\n")
+
+
+@pytest.mark.parametrize(
+    "command, oracle, text, expected",
+    [
+        ("solve-nae", "brute_force_nae", K3_CNF, "s NAE-UNSATISFIABLE\n"),
+        ("solve-cut", "brute_force_cut", "p edge 2 0\n", "s NO-CUT\n"),
+    ],
+)
+def test_solve_calls_the_oracle_bound_at_call_time(
+    tmp_path, capsys, monkeypatch, command, oracle, text, expected
+):
+    # A tracer wraps a library function by rebinding its name on naecut.cli, so the
+    # solve command must look the oracle up when it runs, not when it is defined.
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    monkeypatch.setattr(cli, oracle, lambda obj, budget: None)
+    assert run(capsys, command, str(src)) == (1, expected)
+
+
 def _nth_call(n, result):
     """A stand-in whose n-th call returns `result`; its other calls run the real function."""
     def stand_in(real):
@@ -692,12 +725,12 @@ _TRIAL_FAULTS = {
     "lift-project-roundtrip": ("project_assignment", _always({})),
     "degree-bound": ("max_degree", _always(9)),
     "colour-bound": ("construct_5_colouring", _always(SimpleNamespace(k=6))),
-    "gadget-triangles": ("enumerate_triangles", _always([])),
+    "gadget-triangles": ("occurrence_counts", lambda real: lambda f: dict.fromkeys(real(f), 4)),
     "cut-equivalence": ("brute_force_cut", _always(None)),
     "cut-witness": ("nae_fault", _nth_call(2, "stand-in")),
     "extraction-equivalence": ("brute_force_nae", _nth_call(3, None)),
     "extraction-cut": ("cut_from_vertex_assignment", lambda real: _raise_value_error),
-    "extraction-occurrences": ("occurrence_counts", _always({1: 8})),
+    "extraction-occurrences": ("occurrence_counts", lambda real: lambda f: {**real(f), 1: 8}),
 }
 
 

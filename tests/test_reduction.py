@@ -508,6 +508,8 @@ def test_cut_from_vertex_assignment_rebalances():
     k3_and_lone_vertex = Graph(4, [(1, 2), (1, 3), (2, 3)])
     with pytest.raises(ValueError, match="^assignment leaves a monochromatic triangle 1 2 3$"):
         cut_from_vertex_assignment(k3_and_lone_vertex, {1: True, 2: True, 3: True, 4: False})
+    with pytest.raises(ValueError, match="^assignment is missing variable 2$"):
+        cut_from_vertex_assignment(canonical_gadget()[0], {1: True})
 
 
 def test_gadget_certificate_passes():
@@ -528,3 +530,15 @@ def test_gadget_certificate_mutations():
     assert not gadget_certify(without_ab, x, y).endpoints_together_in_every_cut
     with pytest.raises(ValueError, match="expects a graph on 5 vertices"):
         gadget_certify(complete_graph(4), 1, 2)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1, 1), (7, 2), (-1, 2)],
+    ids=["same-vertex", "past-the-last-vertex", "negative-vertex"],
+)
+def test_gadget_certify_rejects_bad_endpoints(x, y):
+    g, _ = canonical_gadget()
+    message = f"^gadget endpoints must be two distinct vertices of 1..5, got {x} and {y}$"
+    with pytest.raises(ValueError, match=message):
+        gadget_certify(g, x, y)
