@@ -2,15 +2,17 @@
 
 Both brute-force oracles run one conflict-driven engine over "not-all-equal
 groups" (a clause's literals, or a triangle's vertices read as side bits).
-Each group is stored once, listed under each of its variables, and checked
-whenever one of them is assigned.  A conflict teaches the engine a clause
-and sends it back to the level where that clause is unit; decisions follow
-variable activity, which starts at each variable's group count for the
-first model.  The smallest witness is then fixed variable by variable
-in index order: a variable is False when some model extends the values
-fixed so far with it False, which the last model or one solve under that
-assumption shows, and True otherwise.  Those solves start from zero
-activity, so they decide in index order, near the smallest witness.
+Each group is stored once and listed under both literals of each of its
+variables, next to its other two literals as read from that side, so a
+literal made True checks each of its groups by one or two values.  A
+conflict teaches the engine a clause and sends it back to the level where
+that clause is unit; decisions follow variable activity, which starts at
+each variable's group count for the first model.  The smallest witness
+is then fixed variable by variable in index order: a variable is False
+when some model extends the values fixed so far with it False, which the
+last model or one solve under that assumption shows, and True otherwise.
+Those solves start from zero activity, so they decide in index order,
+near the smallest witness.
 
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
@@ -196,15 +198,18 @@ class _NaeEngine:
     the variable's complement), violated exactly when all its literal values
     are equal.  Literal code 2v means v is True and 2v+1 that v is False, and
     `val` is indexed by code.  A group stands for the clauses (l1 | l2 | l3)
-    and (-l1 | -l2 | -l3) but is stored once, as a tuple of its three codes
-    listed under each of its variables (`occ`).  Propagating a variable
-    checks each of its groups by their three values: with one free and the
-    other two equal it forces the free one to the opposite value, with all
-    three equal it reports a conflict, and otherwise it does nothing.  The
-    last variable of a group to be assigned sees all the others' values, so
-    once the trail is processed no group is unit or all-equal.  The group is
-    the reason of what it forces, every other variable being an antecedent.
-    Learned clauses keep two watched literals.
+    and (-l1 | -l2 | -l3) but is stored once, as the tuple g of its three
+    codes.  `occ` has one list per code p: for each group g over p's
+    variable it holds (x, y, g), where x and y are g's other two codes,
+    both complemented when p is the complement of g's own code.  With p
+    True, g is all-equal exactly when x and y are True too, so propagating
+    p reads one or two values per group: x or y False leaves g alone, x and y
+    True is a conflict, and one of them True with the other free forces
+    the free one's complement.  The last variable of a group to be
+    assigned sees all the others' values, so once the trail is processed
+    no group is unit or all-equal.  The group is the reason of what it
+    forces, every other variable being an antecedent.  Learned clauses
+    keep two watched literals.
 
     A conflict yields a first-UIP clause, minus literals whose reasons it
     already covers, and a jump back to the level where it is unit.
@@ -237,7 +242,9 @@ class _NaeEngine:
     model is the lexicographically smallest.  It then maps the model back
     to every input variable through the signed search variables `lits` of
     the presolve.  Budget states are decisions, counted across every solve
-    of one `solve` call.
+    of one `solve` call.  A budget error gives the deepest decision level,
+    the conflicts, and whether the first model was still being searched
+    for or how many search variables the lex-min phase had fixed.
     """
 
     def __init__(self, num_vars: int, groups):
@@ -249,16 +256,22 @@ class _NaeEngine:
         self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)
         self.reason: list[tuple[int, ...] | list[int] | None] = [None] * (n + 1)
-        self.occ: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.cwatch: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
+        # occ[p]: (x, y, g) for each group g over p's variable, as read with p True.
+        occ: list[list[tuple[int, int, tuple[int, int, int]]]] = [[] for _ in range(2 * n + 2)]
         for g in groups:
-            lits = tuple(2 * x if x > 0 else 1 - 2 * x for x in g)
-            for c in lits:
-                self.occ[c >> 1].append(lits)
+            a, b, c = g = tuple([2 * x if x > 0 else 1 - 2 * x for x in g])
+            occ[a].append((b, c, g))
+            occ[a ^ 1].append((b ^ 1, c ^ 1, g))
+            occ[b].append((a, c, g))
+            occ[b ^ 1].append((a ^ 1, c ^ 1, g))
+            occ[c].append((a, b, g))
+            occ[c ^ 1].append((a ^ 1, b ^ 1, g))
+        self.occ = occ
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
-        self.activity = [float(len(o)) for o in self.occ]
+        self.activity = [float(len(occ[2 * v])) for v in range(n + 1)]
         self.inc = 1.0
         # queued[v]: the heap holds an entry for v carrying its current activity.
         self.queued = bytearray(n + 1)
@@ -267,6 +280,8 @@ class _NaeEngine:
         self.decisions = self.propagations = self.conflicts = self.learned = 0
         self.solves = self.max_depth = 0
         self.max_states = 0
+        # The lex-min phase has fixed search variables 1..fixed; None before a first model.
+        self.fixed: int | None = None
 
     def _assign(self, lit: int, why: list[int] | None) -> None:
         self.val[lit], self.val[lit ^ 1] = True, False
@@ -284,23 +299,22 @@ class _NaeEngine:
             while q < len(trail):
                 p = trail[q]
                 q += 1
-                for g in occ[p >> 1]:
-                    a, b, c = g
-                    x, y, z = val[a], val[b], val[c]
-                    if x is None:
-                        if y is not z:
+                # p is True, so its group g is all-equal exactly when the
+                # stored codes x and y are both True too.
+                for x, y, g in occ[p]:
+                    vx = val[x]
+                    if vx is None:
+                        if not val[y]:
                             continue
-                        u = a ^ 1 if y else a
-                    elif y is None:
-                        if x is not z:
+                        u = x ^ 1
+                    elif vx:
+                        vy = val[y]
+                        if vy is None:
+                            u = y ^ 1
+                        elif vy:
+                            return g
+                        else:
                             continue
-                        u = b ^ 1 if x else b
-                    elif z is None:
-                        if x is not y:
-                            continue
-                        u = c ^ 1 if x else c
-                    elif x is y is z:
-                        return g
                     else:
                         continue
                     # _assign(u, g) inline: groups force most assignments, and
@@ -315,9 +329,10 @@ class _NaeEngine:
                     continue
                 keep = []
                 for k, cl in enumerate(ws):
-                    if cl[0] == f:
-                        cl[0], cl[1] = cl[1], cl[0]
                     first = cl[0]
+                    if first == f:
+                        first = cl[0] = cl[1]
+                        cl[1] = f
                     fv = val[first]
                     if fv is not True:
                         for m in range(2, len(cl)):
@@ -329,7 +344,10 @@ class _NaeEngine:
                             if fv is False:
                                 cwatch[f] = keep + ws[k:]
                                 return cl
-                            self._assign(first, cl)
+                            val[first], val[first ^ 1] = True, False
+                            level[first >> 1] = dl
+                            reason[first >> 1] = cl
+                            trail.append(first)
                             keep.append(cl)
                         continue
                     keep.append(cl)
@@ -368,11 +386,24 @@ class _NaeEngine:
                 break
             lits = reason[pivot]
         learnt[0] = trail[i] ^ 1
-        learnt[1:] = [
-            c for c in learnt[1:]
-            if reason[c >> 1] is None
-            or any(not seen[x >> 1] and level[x >> 1] for x in reason[c >> 1])
-        ]
+        # Drop each literal whose reason's other literals are all in the
+        # clause or fixed at level 0, and find the first of the highest level
+        # left: it is watched second, and the level is where the clause is unit.
+        kept = top = 1
+        back = 0
+        for c in learnt[1:]:
+            r = reason[c >> 1]
+            if r is not None:
+                for x in r:
+                    if not seen[x >> 1] and level[x >> 1]:
+                        break
+                else:
+                    continue
+            if level[c >> 1] > back:
+                top, back = kept, level[c >> 1]
+            learnt[kept] = c
+            kept += 1
+        del learnt[kept:]
         act, inc, queued = self.activity, self.inc, self.queued
         for u in touched:
             seen[u] = 0
@@ -383,11 +414,9 @@ class _NaeEngine:
             self.activity = [a * 1e-100 for a in act]
             self.inc *= 1e-100
             self._rebuild_heap()
-        if len(learnt) == 1:
-            return learnt, 0
-        k = max(range(1, len(learnt)), key=lambda k: level[learnt[k] >> 1])
-        learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, level[learnt[1] >> 1]
+        if kept > 1:
+            learnt[1], learnt[top] = learnt[top], learnt[1]
+        return learnt, back
 
     def _rebuild_heap(self) -> None:
         act, val = self.activity, self.val
@@ -400,12 +429,13 @@ class _NaeEngine:
             return
         start = self.lim[lvl]
         val, act, heap, queued = self.val, self.activity, self.heap, self.queued
+        push = heapq.heappush
         for p in self.trail[start:]:
             val[p] = val[p ^ 1] = None
             v = p >> 1
             if not queued[v]:
                 queued[v] = 1
-                heapq.heappush(heap, (-act[v], v))
+                push(heap, (-act[v], v))
         del self.trail[start:]
         del self.lim[lvl:]
         self.qhead = start
@@ -429,9 +459,15 @@ class _NaeEngine:
             return False
         self.decisions += 1
         if self.decisions > self.max_states:
+            progress = (
+                "first model not found"
+                if self.fixed is None
+                else f"lex-min phase had fixed {self.fixed} of {self.n} search variables"
+            )
             raise BudgetExceeded(
                 f"search exceeded {self.max_states} states; "
-                f"deepest decision level {self.max_depth}"
+                f"deepest decision level {self.max_depth}; "
+                f"{self.conflicts} conflicts; {progress}"
             )
         self.lim.append(len(self.trail))
         self.max_depth = max(self.max_depth, len(self.lim))
@@ -477,6 +513,7 @@ class _NaeEngine:
         self._rebuild_heap()
         val = self.val
         for i in range(2, self.n + 1):
+            self.fixed = i - 1
             if val[2 * i] is None:
                 if model[i] and self._search(2 * i + 1):
                     model = self.val[::2]

@@ -224,14 +224,17 @@ def test_cut_budget_precheck():
 
 def test_search_node_cap_is_a_loud_failure():
     # The engine counts decisions against the budget, and the error says how
-    # deep the search got.  Variable 1 is pinned False before the search;
+    # far the search got.  Variable 1 is pinned False before the search;
     # deciding 2 False propagates 3 True, so the decisions are 2, 4, 5, 6, 7
-    # at levels 1..5, and the sixth decision is over the cap.
+    # at levels 1..5 without a conflict, and the sixth decision is over the
+    # cap, still in the search for a first model.
     from naecut.solvers import _NaeEngine
 
     engine = _NaeEngine(10, [(1, 2, 3)])
     with pytest.raises(
-        BudgetExceeded, match=r"^search exceeded 5 states; deepest decision level 5$"
+        BudgetExceeded,
+        match=r"^search exceeded 5 states; deepest decision level 5; "
+        r"0 conflicts; first model not found$",
     ):
         engine.solve(5)
 
@@ -250,9 +253,20 @@ def test_budget_exceeded_after_the_first_model_propagates():
     lex_phase_caps = 0
     for cap in range(full.decisions):
         engine = _NaeEngine(40, groups)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as raised:
             engine.solve(cap)
         lex_phase_caps += engine.solves > 1
+        # The message tells a hard first model from a long lex-min phase.
+        assert engine.solves == 1 or 1 <= engine.fixed < engine.n
+        progress = (
+            "first model not found"
+            if engine.solves == 1
+            else f"lex-min phase had fixed {engine.fixed} of {engine.n} search variables"
+        )
+        assert str(raised.value) == (
+            f"search exceeded {cap} states; deepest decision level {engine.max_depth}; "
+            f"{engine.conflicts} conflicts; {progress}"
+        )
     assert lex_phase_caps > 0
 
 
@@ -308,11 +322,14 @@ def _traced_peak(num_vars, groups):
 
 
 def test_engine_peak_memory():
-    # The engine stores each triangle once, as one tuple of literal codes
-    # listed under its three variables.  On a formula that takes 658
-    # conflicts to refute (about 870 bytes per clause), the peak stays
-    # bounded because the decision heap is rebuilt before it outgrows 2n
-    # entries (without that it reads about 4,100 bytes per clause).
+    # The engine stores each presolved group once, as one tuple of literal
+    # codes, and lists it six times, under both codes of each of its three
+    # variables.  The presolve takes a reduction graph down to its formula's
+    # groups first, so the graph reads about 71 bytes per triangle.  On a
+    # formula that takes 658 conflicts to refute (about 1,040 bytes per
+    # clause in a fresh process), the peak stays bounded because the
+    # decision heap is rebuilt before it outgrows 2n entries (without that
+    # it reads about 4,100 bytes per clause).
     from naecut import build_graph
 
     split, _ = split_repeated_variables(generate_instance(0, 256, 384))
@@ -450,7 +467,7 @@ def _assert_fixpoint(engine):
     # Nothing left to propagate: no group is all-equal or has two equal
     # values with its third free, and no learned clause is false or unit.
     val = engine.val
-    for g in {g for gs in engine.occ for g in gs}:
+    for g in {e[2] for es in engine.occ for e in es}:
         values = [val[c] for c in g]
         assigned = [x for x in values if x is not None]
         assert len(assigned) < 2 or len(set(assigned)) == 2, (g, values)
@@ -491,8 +508,23 @@ def test_propagation_reaches_a_fixpoint_on_every_group():
         engine._propagate = checked
         engine.solve(2**30)
         conflicts += engine.conflicts
-        negative += any(c & 1 for gs in engine.occ for g in gs for c in g)
+        negative += any(c & 1 for es in engine.occ for e in es for c in e[2])
+        _assert_listed_under_each_literal(engine)
     assert checks > 1000 and conflicts > 300 and negative >= 30
+
+
+def _assert_listed_under_each_literal(engine):
+    # Each group sits twice under each of its variables, once per polarity,
+    # with its other two codes as read from that side.
+    listed = {}
+    for p, es in enumerate(engine.occ):
+        for x, y, g in es:
+            listed.setdefault(g, []).append((p, x, y))
+    for g, entries in listed.items():
+        a, b, c = g
+        expected = [(a, b, c), (b, a, c), (c, a, b)]
+        expected += [(p ^ 1, x ^ 1, y ^ 1) for p, x, y in expected]
+        assert sorted(entries) == sorted(expected), g
 
 
 def _recording_engine(num_vars, groups):
@@ -538,7 +570,7 @@ def test_lex_min_phase_starts_from_zero_activity():
     engine = _recording_engine(100, f.clauses)
     assert engine.solve(2**30) is not None
     assert engine.solves == len(engine.starts) > 2 and engine.conflicts > 0
-    assert engine.starts[0] == ([float(len(o)) for o in engine.occ], 1.0)
+    assert engine.starts[0] == ([float(len(engine.occ[2 * v])) for v in range(101)], 1.0)
     assert engine.starts[1] == ([0.0] * 101, 1.0)
 
 
@@ -569,6 +601,36 @@ def test_engine_counts_repeat_exactly():
     assert first == counts()
     decisions, propagations, conflicts = first[:3]
     assert propagations > decisions > 0 and conflicts > 0
+
+
+# Search counters (decisions, propagations, conflicts, learned, solves,
+# max_depth) and "no model" of generate_instance(seed, n, round(2.1 * n)),
+# near the NAE threshold, by (n, seed).
+_PINNED_SEARCHES = {
+    (100, 0): ((342, 7086, 280, 276, 6, 17), False),
+    (100, 1): ((223, 3663, 146, 143, 6, 21), False),
+    (100, 2): ((149, 3314, 131, 125, 1, 11), True),
+    (100, 3): ((314, 7460, 286, 278, 1, 12), True),
+    (110, 1): ((487, 11317, 385, 383, 7, 24), False),
+    (110, 4): ((821, 17922, 683, 676, 8, 15), False),
+    (120, 0): ((617, 14203, 506, 501, 6, 13), False),
+    (120, 1): ((745, 20274, 658, 650, 1, 12), True),
+}
+
+
+def test_the_search_is_pinned_step_for_step():
+    # A change to how the engine stores or reads its groups must leave the
+    # search itself alone: the same decisions, propagations, conflicts and
+    # learned clauses as the engine these counts were read from.  The
+    # reduction graph of (100, 1) runs its formula's search.
+    from naecut import build_graph
+
+    for (n, seed), expected in _PINNED_SEARCHES.items():
+        model, counters, _, _ = _searched(n, generate_instance(seed, n, round(2.1 * n)).clauses)
+        assert (counters, model is None) == expected, (n, seed)
+    g, _ = build_graph(split_repeated_variables(generate_instance(1, 100, 210))[0])
+    model, counters, _, _ = _searched(g.num_vertices, enumerate_triangles(g))
+    assert (counters, model is None) == _PINNED_SEARCHES[100, 1]
 
 
 def test_a_reduction_graph_and_its_formula_run_one_search():
