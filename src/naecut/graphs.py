@@ -143,7 +143,7 @@ def _edge_lines(text: str):
 
 
 def emit_graph(g: Graph) -> str:
-    body = "".join(f"e {u} {v}\n" for u, v in g.sorted_edges())
+    body = "".join([f"e {u} {v}\n" for u, row in enumerate(g.adj) for v in row if v > u])
     return f"p edge {g.num_vertices} {g.num_edges}\n{body}"
 
 

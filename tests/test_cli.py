@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 
 import naecut
 from naecut import (
+    BudgetExceeded,
     CnfFormula,
     FormatError,
     Graph,
@@ -1067,3 +1069,103 @@ def test_verify_prints_the_library_fault(tmp_path, capsys):
             assert (code, out) == expected, f"trial {trial}: {kind} {data!r}"
         codes.add((kind, code))
     assert codes == {(kind, code) for kind in kinds for code in (0, 1, 2)}
+
+
+# main() pauses the cyclic collector while the command runs.
+
+def _stand_in_command(outcome, seen):
+    """A command that records whether the collector runs, then returns or raises `outcome`."""
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, int):
+            return outcome
+        raise outcome("stand-in")
+    return command
+
+
+@pytest.mark.parametrize(
+    "outcome, code",
+    [(0, 0), (1, 1), (FormatError, 2), (BudgetExceeded, 3), (RuntimeError, 4), (MemoryError, 4)],
+    ids=["yes", "no", "format error", "budget", "internal error", "out of memory"],
+)
+def test_a_command_runs_with_the_collector_paused_and_its_exit_restores_it(
+    capsys, monkeypatch, outcome, code
+):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_triangles", _stand_in_command(outcome, seen))
+    assert gc.isenabled()
+    assert main(["triangles", "any.graph"]) == code
+    assert gc.isenabled()
+    # A caller that paused the collector itself finds it still paused.
+    gc.disable()
+    try:
+        assert main(["triangles", "any.graph"]) == code
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+
+
+def test_the_collector_is_back_after_a_usage_exit_or_an_interrupt(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        main(["triangles"])
+    assert gc.isenabled()
+    monkeypatch.setattr(cli, "cmd_triangles", _stand_in_command(KeyboardInterrupt, []))
+    with pytest.raises(KeyboardInterrupt):
+        main(["triangles", "any.graph"])
+    assert gc.isenabled()
+
+
+def _cyclic_garbage(call) -> int:
+    """The number of objects only the cyclic collector frees once call() has run."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# (argv, NAE_REDUCE_BUDGET or None, exit code): every command, the invalid verify
+# forms, one format error and one budget overrun.
+_COMMAND_RUNS = [
+    (["transform", "cnf", "-o", "out", "--map", "out2"], None, 0),
+    (["reduce", "cnf", "-o", "out", "--map", "out2"], None, 0),
+    (["solve-nae", "cnf", "-o", "out"], None, 0),
+    (["solve-cut", "graph", "-o", "out"], str(2**40), 0),
+    (["color", "graph", "-k", "5"], None, 0),
+    (["triangles", "graph"], None, 0),
+    (["verify", "assignment", "split", "wit_split", "--map", "tmap"], None, 0),
+    (["verify", "assignment", "split", "all_true"], None, 1),
+    (["verify", "cut", "graph", "cut", "--map", "rmap", "--assignment", "wit_split"], None, 0),
+    (["verify", "cut", "graph", "one_side"], None, 1),
+    (["verify", "coloring", "graph", "col"], None, 0),
+    (["verify", "coloring", "graph", "one_colour"], None, 1),
+    (["roundtrip", "-n", "8", "-m", "10", "--trials", "20"], None, 0),
+    (["solve-cut", "cnf"], None, 2),
+    (["solve-nae", "cnf"], "4", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, budget, code", _COMMAND_RUNS, ids=[" ".join(case[0]) for case in _COMMAND_RUNS]
+)
+def test_no_command_builds_reference_cycles(tmp_path, capsys, monkeypatch, argv, budget, code):
+    # The premise of main's collector pause: a command leaves no cyclic garbage
+    # beyond the argument parser's own, so reference counting frees all it builds.
+    monkeypatch.chdir(tmp_path)
+    files = _planted_inputs(5, 6)
+    num_vars = parse_cnf(files["split"]).num_vars
+    num_vertices = parse_graph(files["graph"]).num_vertices
+    files["all_true"] = f"s NAE-SATISFIABLE\nv {' '.join(map(str, range(1, num_vars + 1)))} 0\n".encode()
+    files["one_side"] = b"s CUT-FOUND\nv 0\n"
+    files["one_colour"] = ("k 1\n" + "".join(f"{v} 1\n" for v in range(1, num_vertices + 1))).encode()
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    if budget is not None:
+        monkeypatch.setenv("NAE_REDUCE_BUDGET", budget)
+    assert main(argv) == code  # also warms up any one-time caches
+    command = _cyclic_garbage(lambda: main(argv))
+    parser_only = _cyclic_garbage(lambda: cli._build_parser().parse_args(argv))
+    assert command == parser_only > 0
