@@ -7,12 +7,13 @@ variables, next to its other two literals as read from that side, so a
 literal made True checks each of its groups by one or two values.  A
 conflict teaches the engine a clause and sends it back to the level where
 that clause is unit; decisions follow variable activity, which starts at
-each variable's group count for the first model.  The smallest witness
-is then fixed variable by variable in index order: a variable is False
-when some model extends the values fixed so far with it False, which the
-last model or one solve under that assumption shows, and True otherwise.
-Those solves start from zero activity, so they decide in index order,
-near the smallest witness.
+each variable's group count for the first model.  Learned clauses enter
+only through `_learn`, level-0 facts through `_fix` and new activities
+through `_set_scores`.  The smallest witness is then fixed variable by
+variable in index order: a variable is False when some model extends the
+values fixed so far with it False, which the last model or one solve under
+that assumption shows, and True otherwise.  Those solves start from zero
+activity, so they decide in index order, near the smallest witness.
 
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
@@ -208,18 +209,22 @@ class _NaeEngine:
     the free one's complement.  The last variable of a group to be
     assigned sees all the others' values, so once the trail is processed
     no group is unit or all-equal.  The group is the reason of what it
-    forces, every other variable being an antecedent.  Learned clauses
-    keep two watched literals.
+    forces, every other variable being an antecedent.
 
     A conflict yields a first-UIP clause, minus literals whose reasons it
-    already covers, and a jump back to the level where it is unit.
-    Decisions take the most active free variable (VSIDS) and set it False.
-    The first search starts each activity at the variable's number of
-    presolved groups, as Chaff starts its scores at literal counts, so it
-    decides the busiest variables first.  The heap holds at most one entry
-    per variable with its current activity (`queued`): a bump makes that
-    entry stale, and a backjump pushes only the variables without a live
-    one.
+    already covers, and a jump back to the level where it is unit.  `_learn`
+    takes it there, every literal False but the free clause[0] and clause[1]
+    of the highest level, watches those two, counts it in `learned` and
+    asserts clause[0].  `_fix` assigns a free literal at level 0 with no
+    reason, for the caller to propagate: the pin, a one-literal lemma and
+    each lex-min value.  Decisions take the most active free variable
+    (VSIDS) and set it False.  The first search starts each activity at the
+    variable's number of presolved groups, as Chaff starts its scores at
+    literal counts, so it decides the busiest variables first.  The heap
+    holds at most one entry per variable with its current activity
+    (`queued`): a bump makes that entry stale, and a backjump pushes only
+    the variables without a live one.  `_set_scores` alone replaces the
+    activities and their bump, leaving one live entry per free variable.
 
     `__init__` takes groups of 2 or 3 literals over distinct variables and
     presolves them (`_presolve`): it peels trailing gadget interiors,
@@ -271,11 +276,9 @@ class _NaeEngine:
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
-        self.activity = [float(len(occ[2 * v])) for v in range(n + 1)]
-        self.inc = 1.0
         # queued[v]: the heap holds an entry for v carrying its current activity.
         self.queued = bytearray(n + 1)
-        self._rebuild_heap()
+        self._set_scores([float(len(occ[2 * v])) for v in range(n + 1)], 1.0)
         self.seen = bytearray(n + 1)
         self.decisions = self.propagations = self.conflicts = self.learned = 0
         self.solves = self.max_depth = 0
@@ -411,18 +414,31 @@ class _NaeEngine:
             act[u] += inc
         self.inc = inc / 0.95
         if self.inc > 1e100:
-            self.activity = [a * 1e-100 for a in act]
-            self.inc *= 1e-100
-            self._rebuild_heap()
+            self._set_scores([a * 1e-100 for a in act], self.inc * 1e-100)
         if kept > 1:
             learnt[1], learnt[top] = learnt[top], learnt[1]
         return learnt, back
 
-    def _rebuild_heap(self) -> None:
-        act, val = self.activity, self.val
+    def _set_scores(self, activity: list[float], inc: float) -> None:
+        """Keep activity and its bump inc; the heap then holds one live entry per free variable."""
+        self.activity, self.inc, val = activity, inc, self.val
         self.queued[:] = bytes(val[2 * v] is None for v in range(self.n + 1))
-        self.heap = [(-act[v], v) for v in range(1, self.n + 1) if val[2 * v] is None]
+        self.heap = [(-activity[v], v) for v in range(1, self.n + 1) if val[2 * v] is None]
         heapq.heapify(self.heap)
+
+    def _learn(self, clause: list[int]) -> None:
+        """Keep a clause unit here: watch clause[0] and clause[1], count it, assert clause[0]."""
+        if len(clause) == 1:
+            self._fix(clause[0])
+        else:
+            self.learned += 1
+            self.cwatch[clause[0]].append(clause)
+            self.cwatch[clause[1]].append(clause)
+            self._assign(clause[0], clause)
+
+    def _fix(self, lit: int) -> None:
+        """Assign the free lit at level 0 with no reason; the caller propagates it."""
+        self._assign(lit, None)
 
     def _backtrack(self, lvl: int) -> None:
         if len(self.lim) <= lvl:
@@ -440,7 +456,7 @@ class _NaeEngine:
         del self.lim[lvl:]
         self.qhead = start
         if len(heap) > 2 * self.n:
-            self._rebuild_heap()
+            self._set_scores(act, self.inc)
 
     def _decide(self, lit: int | None) -> bool:
         """Open a level with lit, or else the most active free variable False.
@@ -485,11 +501,7 @@ class _NaeEngine:
                     return False
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
-                if len(learnt) > 1:
-                    self.learned += 1
-                    self.cwatch[learnt[0]].append(learnt)
-                    self.cwatch[learnt[1]].append(learnt)
-                self._assign(learnt[0], learnt if len(learnt) > 1 else None)
+                self._learn(learnt)
             elif assume is not None and not self.lim and self.val[assume] is not True:
                 if self.val[assume] is False:
                     return False
@@ -502,15 +514,13 @@ class _NaeEngine:
         self.max_states = max_states
         if self.lits is None:
             return None
-        self._assign(3, None)  # variable 1 False
+        self._fix(3)  # variable 1 False
         if not self._search(None):
             return None
         model = self.val[::2]
         self._backtrack(0)
         # The lex-min solves start from zero activity, deciding in index order.
-        self.activity = [0.0] * (self.n + 1)
-        self.inc = 1.0
-        self._rebuild_heap()
+        self._set_scores([0.0] * (self.n + 1), 1.0)
         val = self.val
         for i in range(2, self.n + 1):
             self.fixed = i - 1
@@ -519,7 +529,7 @@ class _NaeEngine:
                     model = self.val[::2]
                 self._backtrack(0)
                 if val[2 * i] is None:
-                    self._assign(2 * i + (not model[i]), None)
+                    self._fix(2 * i + (not model[i]))
                     self._propagate()
         return [model[x] if x >= 0 else not model[-x] for x in self.lits]
 

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import random
@@ -826,6 +827,21 @@ def test_the_process_exit_code_is_the_verdict(tmp_path):
     assert (done.returncode, done.stdout) == (1, "invalid: clause 1 (1 2 3) has all-equal values\n")
     done = _run_process(["solve-nae", "missing.cnf"], tmp_path)
     assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # `dependencies = []` in pyproject.toml: every absolute import in the
+    # package names a standard-library module.
+    paths = sorted(Path(naecut.__file__).parent.glob("*.py"))
+    imported = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert len(paths) >= 9 and {"argparse", "heapq"} <= imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
 
 
 @pytest.mark.parametrize(

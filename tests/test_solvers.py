@@ -31,6 +31,7 @@ from naecut import (
 )
 from naecut.formula import nae_fault
 from naecut.graphs import cut_fault
+from naecut.solvers import _NaeEngine
 
 from helpers import complete_graph
 
@@ -631,6 +632,170 @@ def test_the_search_is_pinned_step_for_step():
     g, _ = build_graph(split_repeated_variables(generate_instance(1, 100, 210))[0])
     model, counters, _, _ = _searched(g.num_vertices, enumerate_triangles(g))
     assert (counters, model is None) == _PINNED_SEARCHES[100, 1]
+
+
+# The engine's seam: `_learn` keeps each learned clause and `_fix` makes
+# each level-0 fact.  An engine that logs both, and a unit propagator that
+# shares no code with it, check every lemma and every answer.
+
+class _Logged(_NaeEngine):
+    def __init__(self, num_vars, groups):
+        self.log = []
+        super().__init__(num_vars, groups)
+
+    def _learn(self, clause):
+        self.log.append(("learn", list(clause)))
+        super()._learn(clause)
+
+    def _fix(self, lit):
+        self.log.append(("fix", lit))
+        super()._fix(lit)
+
+
+def _free_if_unit(clause, true):
+    """[] if every literal of the clause is False, [x] if x is its only free
+    literal and none is True, otherwise None."""
+    free = []
+    for c in clause:
+        if c in true:
+            return None
+        if c ^ 1 not in true:
+            if free:
+                return None
+            free.append(c)
+    return free
+
+
+class _UnitPropagator:
+    """Clauses of literal codes (2v: v True, 2v+1: v False); a fact is a unit clause.
+
+    `true` holds the codes unit propagation derives from the clauses, and
+    `refuted` says whether it reaches a conflict.
+    """
+
+    def __init__(self, num_codes, clauses):
+        self.occ = [[] for _ in range(num_codes)]
+        self.true = set()
+        self.refuted = False
+        for clause in clauses:
+            self.add(clause)
+
+    def _extend(self, true, queue):
+        """Add to `true` what the literals in queue propagate to; False at a conflict."""
+        for lit in queue:
+            if lit ^ 1 in true:
+                return False
+            if lit not in true:
+                true.add(lit)
+                for clause in self.occ[lit ^ 1]:
+                    free = _free_if_unit(clause, true)
+                    if free == []:
+                        return False
+                    queue += free or []
+        return True
+
+    def rup(self, clause):
+        """Whether the clause's negation propagates to a conflict."""
+        return self.refuted or not self._extend(set(self.true), [c ^ 1 for c in clause])
+
+    def add(self, clause):
+        for c in clause:
+            self.occ[c].append(clause)
+        free = _free_if_unit(clause, self.true)
+        if free is not None:
+            self.refuted = self.refuted or not (free and self._extend(self.true, free))
+
+
+def _audit(engine):
+    """Replay a logged solve over the search variables by unit propagation.
+
+    Returns the lemmas that are not RUP over the groups (two clauses each),
+    the earlier lemmas and the facts fixed before them; the variables that
+    end True yet are not RUP under the values that the pin and the lex-min
+    phase fixed before them; and the propagator after the last fact.
+    """
+    groups = {e[2] for es in engine.occ for e in es}
+    check = _UnitPropagator(len(engine.val), [c for g in groups for c in (g, [x ^ 1 for x in g])])
+    rejected, unproven = [], []
+
+    def unproven_true(first, last):
+        return [v for v in range(first, last + 1) if engine.val[2 * v] and not check.rup([2 * v])]
+
+    start = 1  # the first variable whose final value is not yet checked
+    previous = None
+    for kind, x in engine.log:
+        if kind == "learn":
+            if not check.rup(x):
+                rejected.append(x)
+            check.add(x)
+        elif previous != ("learn", [x]):  # not a unit lemma's own fact
+            unproven += unproven_true(start, x >> 1)
+            start = (x >> 1) + 1
+            check.add([x])
+        previous = kind, x
+    return rejected, unproven + unproven_true(start, engine.n), check
+
+
+def test_every_lemma_and_answer_checks_by_unit_propagation():
+    # Above 40 variables this is the one check of the engine's "no" and
+    # "smallest" answers that shares no search code with it.  Each lemma is
+    # RUP; a "no" ends in a conflict from the facts and lemmas alone; each
+    # variable a model sets True is RUP under the values fixed before it,
+    # so no smaller model exists.  A model's facts propagate to all of it,
+    # which shows, again by unit propagation alone, that it is a model.
+    from naecut import build_graph
+
+    inputs = [(n, generate_instance(seed, n, round(2.1 * n)).clauses) for n, seed in _PINNED_SEARCHES]
+    g, _ = build_graph(split_repeated_variables(generate_instance(1, 100, 210))[0])
+    inputs.append((g.num_vertices, enumerate_triangles(g)))
+    for num_vars, groups in inputs:
+        engine = _Logged(num_vars, groups)
+        model = engine.solve(2**30)
+        rejected, unproven, check = _audit(engine)
+        assert (rejected, unproven, check.refuted) == ([], [], model is None), num_vars
+        if model is not None:
+            assert check.true == set(engine.trail) and len(check.true) == engine.n
+
+
+def test_the_audit_rejects_weakened_lemmas_and_a_larger_model():
+    class Weakened(_Logged):
+        def _learn(self, clause):
+            super()._learn(clause[:-1] if len(clause) >= 3 else clause)
+
+    for seed in range(4):
+        engine = Weakened(100, generate_instance(seed, 100, 210).clauses)
+        engine.solve(2**30)
+        assert _audit(engine)[0], seed
+
+    class Flipped(_Logged):
+        # Fixes variable 25 True where the lex-min phase fixes it False.
+        def _fix(self, lit):
+            super()._fix(50 if lit == 51 and self.fixed == 24 else lit)
+
+    engine = Flipped(100, generate_instance(1, 100, 210).clauses)
+    engine.solve(2**30)
+    assert _audit(engine)[1][:1] == [25]
+
+
+def test_only_learn_and_fix_add_clauses_and_level_0_facts():
+    # After a solve every trail entry is at level 0.  Those without a
+    # reason are exactly the literals passed to `_fix`, in order, and the
+    # watched clauses are exactly those of two or more literals passed to
+    # `_learn`, each counted once in `learned`.
+    inputs = [(n, generate_instance(s, n, round(2.1 * n)).clauses) for n, s in ((100, 0), (100, 2), (110, 1))]
+    inputs += [(g.num_vertices, enumerate_triangles(g)) for g in _gadget_dense_graphs()]
+    learned = 0
+    for num_vars, groups in inputs:
+        engine = _Logged(num_vars, groups)
+        engine.solve(2**30)
+        assert not engine.lim
+        fixed = [x for kind, x in engine.log if kind == "fix"]
+        assert [p for p in engine.trail if engine.reason[p >> 1] is None] == fixed
+        kept = sorted(sorted(x) for kind, x in engine.log if kind == "learn" and len(x) > 1)
+        watched = {id(cl): cl for ws in engine.cwatch for cl in ws}.values()
+        assert sorted(map(sorted, watched)) == kept and len(kept) == engine.learned
+        learned += engine.learned
+    assert learned > 500
 
 
 def test_a_reduction_graph_and_its_formula_run_one_search():
