@@ -46,7 +46,7 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges())
+        return frozenset([(u, v) for u, row in enumerate(self.adj) for v in row if v > u])
 
     @property
     def num_edges(self) -> int:
@@ -55,14 +55,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 1 <= u <= self.num_vertices and v in self.adj[u]
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, row in enumerate(self.adj) for v in row if v > u]
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
-
-    def __hash__(self):
-        return hash(tuple(self.adj))
 
     def __repr__(self):
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"

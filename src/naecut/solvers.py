@@ -49,8 +49,6 @@ from .graphs import Colouring, Cut, Graph, colouring_fault, enumerate_triangles
 from .reduction import cut_from_vertex_assignment
 from .textio import ints, records
 
-_MAX_CLAUSE_ATTEMPTS = 10_000
-
 
 def exhaustive_budget(num_binary_choices: int) -> SearchBudget:
     """A budget admitting the full candidate space of the given bit width."""
@@ -217,14 +215,15 @@ class _NaeEngine:
     of the highest level, watches those two, counts it in `learned` and
     asserts clause[0].  `_fix` assigns a free literal at level 0 with no
     reason, for the caller to propagate: the pin, a one-literal lemma and
-    each lex-min value.  Decisions take the most active free variable
-    (VSIDS) and set it False.  The first search starts each activity at the
-    variable's number of presolved groups, as Chaff starts its scores at
-    literal counts, so it decides the busiest variables first.  The heap
-    holds at most one entry per variable with its current activity
-    (`queued`): a bump makes that entry stale, and a backjump pushes only
-    the variables without a live one.  `_set_scores` alone replaces the
-    activities and their bump, leaving one live entry per free variable.
+    each False value of the lex-min phase.  Decisions take the most active
+    free variable (VSIDS) and set it False.  The first search starts each
+    activity at the variable's number of presolved groups, as Chaff starts
+    its scores at literal counts, so it decides the busiest variables
+    first.  The heap holds at most one entry per variable with its current
+    activity (`queued`): a bump makes that entry stale, and a backjump
+    pushes only the variables without a live one.  `_set_scores` alone
+    replaces the activities and their bump, leaving one live entry per
+    free variable.
 
     `__init__` takes groups of 2 or 3 literals over distinct variables and
     presolves them (`_presolve`): it peels trailing gadget interiors,
@@ -239,17 +238,19 @@ class _NaeEngine:
     solve.  The reset matters: with the first search's scores kept, the
     solves below decide far from the smallest witness and there are more
     of them (534 against 137 over 15 reduction graphs of 64-1024
-    variables).  Variable i is fixed False when the last model has it
-    False, True when the fixed prefix implies it, and otherwise by one
-    solve that assumes i False at level 1: a model found there replaces
-    the last one, a refutation fixes i True.  Each step keeps the smaller
-    value exactly when some model extends the prefix with it, so the last
-    model is the lexicographically smallest.  It then maps the model back
-    to every input variable through the signed search variables `lits` of
-    the presolve.  Budget states are decisions, counted across every solve
-    of one `solve` call.  A budget error gives the deepest decision level,
-    the conflicts, and whether the first model was still being searched
-    for or how many search variables the lex-min phase had fixed.
+    variables).  Variable i keeps a value the fixed prefix implies.  Else,
+    if the last model has i True, one solve assumes i False at level 1: a
+    model found there replaces the last one, and a refutation leaves i
+    True at level 0 by a unit lemma or its propagation.  An i still free
+    is then fixed False, as the last model has it.  Each step keeps the
+    smaller value exactly when some model extends the prefix with it, so
+    the last model is the lexicographically smallest.  It then maps the
+    model back to every input variable through the signed search
+    variables `lits` of the presolve.  Budget states are decisions,
+    counted across every solve of one `solve` call.  A budget error gives
+    the deepest decision level, the conflicts, and whether the first model
+    was still being searched for or how many search variables the lex-min
+    phase had fixed.
     """
 
     def __init__(self, num_vars: int, groups):
@@ -529,7 +530,7 @@ class _NaeEngine:
                     model = self.val[::2]
                 self._backtrack(0)
                 if val[2 * i] is None:
-                    self._fix(2 * i + (not model[i]))
+                    self._fix(2 * i + 1)
                     self._propagate()
         return [model[x] if x >= 0 else not model[-x] for x in self.lits]
 
@@ -640,42 +641,25 @@ def randbelow(rng: random.Random, bound: int) -> int:
     return r
 
 
-def generate_instance(
-    seed: int, num_vars: int, num_clauses: int, distinct_pairs: bool = False
-) -> CnfFormula:
+def generate_instance(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
     """Seeded random monotone 3-CNF: each clause a uniform 3-subset of variables.
 
-    With distinct_pairs, clauses are rejection-sampled so no variable pair
-    co-occurs twice; generation fails if a clause cannot be placed after a
-    bounded number of attempts.  Identical arguments yield identical
-    formulas on every platform (Mersenne Twister bit stream).
+    Identical arguments yield identical formulas on every platform
+    (Mersenne Twister bit stream).
     """
     if num_vars < 3:
         raise ValueError("need at least three variables")
     if num_clauses < 0:
         raise ValueError("clause count must be non-negative")
     rng = random.Random(seed)
-    used_pairs: set[tuple[int, int]] = set()
     clauses: list[tuple[int, int, int]] = []
-    for ci in range(num_clauses):
-        for _attempt in range(_MAX_CLAUSE_ATTEMPTS):
-            chosen: list[int] = []
-            while len(chosen) < 3:
-                v = randbelow(rng, num_vars) + 1
-                if v not in chosen:
-                    chosen.append(v)
-            a, b, c = sorted(chosen)
-            if not distinct_pairs:
-                break
-            pairs = {(a, b), (a, c), (b, c)}
-            if used_pairs.isdisjoint(pairs):
-                used_pairs |= pairs
-                break
-        else:
-            raise ValueError(
-                f"could not place clause {ci + 1} without repeating a variable pair"
-            )
-        clauses.append((a, b, c))
+    for _ in range(num_clauses):
+        chosen: list[int] = []
+        while len(chosen) < 3:
+            v = randbelow(rng, num_vars) + 1
+            if v not in chosen:
+                chosen.append(v)
+        clauses.append(tuple(sorted(chosen)))
     return CnfFormula(num_vars, clauses)
 
 

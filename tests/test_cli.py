@@ -45,7 +45,7 @@ from naecut.formula import nae_fault
 from naecut.graphs import colouring_fault, cut_fault
 from naecut.textio import MAX_COUNT
 
-from helpers import complete_graph
+from helpers import complete_graph, edge_list
 
 K3_CNF = "p cnf 3 1\n1 2 3 0\n"
 SPLIT_CNF = "p cnf 5 2\n1 2 3 0\n1 4 5 0\n"
@@ -650,7 +650,7 @@ def test_roundtrip_break_gadget_detects_failures(capsys, monkeypatch):
     def build_broken_graph(f):
         g, rm = build_graph(f)
         drop = {gd[2:4] for gd in rm.clause_gadget.values()}
-        return Graph(g.num_vertices, [e for e in g.sorted_edges() if e not in drop]), rm
+        return Graph(g.num_vertices, [e for e in edge_list(g) if e not in drop]), rm
 
     monkeypatch.setattr(cli, "build_graph", build_broken_graph)
     assert run(capsys, *argv) == (1, (

@@ -17,6 +17,8 @@ from naecut import (
 )
 from naecut.formula import nae_fault
 
+from helpers import edge_list
+
 
 def test_parse_smallest_monotone_instance():
     f = parse_cnf("p cnf 3 1\n1 2 3 0")
@@ -157,7 +159,7 @@ def test_incidence_variant_a_is_k3():
     f = CnfFormula(3, [[1, 2, 3]])
     g = incidence_graph(f)
     assert g.num_vertices == 3
-    assert g.sorted_edges() == [(1, 2), (1, 3), (2, 3)]
+    assert edge_list(g) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_incidence_two_triangles_sharing_a_vertex():

@@ -33,7 +33,7 @@ from naecut.formula import nae_fault
 from naecut.graphs import cut_fault
 from naecut.solvers import _NaeEngine
 
-from helpers import complete_graph
+from helpers import complete_graph, edge_list, random_graph
 
 
 # Independent enumeration oracles: straight product scans with inline clause
@@ -118,12 +118,6 @@ def random_signed_formula(seed):
         vs = rng.sample(range(1, n + 1), size)
         clauses.append([v if rng.random() < 0.7 else -v for v in vs])
     return CnfFormula(n, clauses)
-
-
-def random_graph(seed, n, p=0.5):
-    rng = random.Random(seed)
-    edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
-    return Graph(n, edges)
 
 
 def test_nae_smallest_witness_single_clause():
@@ -390,18 +384,18 @@ def _triangles_of(n, edges):
 def _gadget_dense_graphs():
     k5 = list(itertools.combinations(range(1, 6), 2))
     k6 = list(itertools.combinations(range(1, 7), 2))
-    chain2 = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).sorted_edges())
-    chain3 = _tetrahedra(12, (11, 12, 4), (3, 10), extra=chain2.sorted_edges())
+    chain2 = _tetrahedra(9, (4, 5, 6), (1, 2), extra=edge_list(_tetrahedra(9, (7, 8, 9), (2, 3))))
+    chain3 = _tetrahedra(12, (11, 12, 4), (3, 10), extra=edge_list(chain2))
     graphs = [_tetrahedra(3 + k, (1, 2, 3), range(4, 4 + k)) for k in (2, 3, 4)]
     graphs += [
         # two faces sharing the apex 4, each with a second apex
-        _tetrahedra(9, (1, 2, 3), (4, 8), extra=_tetrahedra(9, (5, 6, 7), (4, 9)).sorted_edges()),
+        _tetrahedra(9, (1, 2, 3), (4, 8), extra=edge_list(_tetrahedra(9, (5, 6, 7), (4, 9)))),
         # the shared apex lies on the other face
-        _tetrahedra(8, (1, 2, 3), (4, 5), extra=_tetrahedra(8, (4, 6, 7), (8,)).sorted_edges()),
+        _tetrahedra(8, (1, 2, 3), (4, 5), extra=edge_list(_tetrahedra(8, (4, 6, 7), (8,)))),
         chain2,
-        Graph(9, chain2.sorted_edges() + [(1, 3), (1, 7), (3, 7)]),
+        Graph(9, edge_list(chain2) + [(1, 3), (1, 7), (3, 7)]),
         chain3,
-        Graph(12, chain3.sorted_edges() + [(1, 10), (1, 11), (10, 11)]),
+        Graph(12, edge_list(chain3) + [(1, 10), (1, 11), (10, 11)]),
         Graph(6, k5 + [(1, 6), (2, 6), (3, 6)]),
         Graph(8, k5 + [(4, 6), (5, 6), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8), (4, 8)]),
         Graph(9, k6 + [(x, v) for x in (7, 8, 9) for v in (4, 5, 6)]),
@@ -743,11 +737,14 @@ def test_every_lemma_and_answer_checks_by_unit_propagation():
     # variable a model sets True is RUP under the values fixed before it,
     # so no smaller model exists.  A model's facts propagate to all of it,
     # which shows, again by unit propagation alone, that it is a model.
+    # The pin and the lex-min phase fix only False values; a True value
+    # reaches level 0 by a lemma or by propagation.
     from naecut import build_graph
 
     inputs = [(n, generate_instance(seed, n, round(2.1 * n)).clauses) for n, seed in _PINNED_SEARCHES]
     g, _ = build_graph(split_repeated_variables(generate_instance(1, 100, 210))[0])
     inputs.append((g.num_vertices, enumerate_triangles(g)))
+    fixes = 0
     for num_vars, groups in inputs:
         engine = _Logged(num_vars, groups)
         model = engine.solve(2**30)
@@ -755,6 +752,11 @@ def test_every_lemma_and_answer_checks_by_unit_propagation():
         assert (rejected, unproven, check.refuted) == ([], [], model is None), num_vars
         if model is not None:
             assert check.true == set(engine.trail) and len(check.true) == engine.n
+        steps = list(zip([None, *engine.log], engine.log))
+        loop_fixes = [x for before, (kind, x) in steps if kind == "fix" and before != ("learn", [x])]
+        assert all(x & 1 for x in loop_fixes), num_vars
+        fixes += len(loop_fixes)
+    assert fixes > 50
 
 
 def test_the_audit_rejects_weakened_lemmas_and_a_larger_model():
@@ -894,7 +896,7 @@ def test_apex_equalities_keep_a_renumbered_reduction_graph_tractable():
     split, _ = split_repeated_variables(generate_instance(0, 64, 96))
     g, rm = build_graph(split)
     n = g.num_vertices
-    reversed_g = Graph(n, [(n + 1 - u, n + 1 - v) for u, v in g.sorted_edges()])
+    reversed_g = Graph(n, [(n + 1 - u, n + 1 - v) for u, v in edge_list(g)])
     engine = _NaeEngine(n, enumerate_triangles(reversed_g))
     assert engine.merged == len(rm.clause_gadget) == 225
     assert engine.eliminated == 0
@@ -948,7 +950,7 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     f = CnfFormula(8, nested)
     assert brute_force_nae(f) == naive_nae_smallest(f)
 
-    chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=_tetrahedra(9, (7, 8, 9), (2, 3)).sorted_edges())
+    chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=edge_list(_tetrahedra(9, (7, 8, 9), (2, 3))))
     graphs = [
         # faces with three and four apexes below them
         _tetrahedra(3 + k, (k + 1, k + 2, k + 3), range(1, k + 1)) for k in (3, 4)
@@ -960,7 +962,7 @@ def test_presolve_peels_only_trailing_gadget_interiors():
         _tetrahedra(5, (3, 4, 5), (1, 2), extra=[(1, 2)]),
         # two gadgets sharing the apex 2, the other apex of one lying in
         # the other's interior
-        _tetrahedra(8, (6, 7, 8), (1, 2), extra=_tetrahedra(8, (3, 4, 5), (2, 8)).sorted_edges()),
+        _tetrahedra(8, (6, 7, 8), (1, 2), extra=edge_list(_tetrahedra(8, (3, 4, 5), (2, 8)))),
     ]
     for g in graphs:
         assert peeled(g.num_vertices, enumerate_triangles(g)) == 0
@@ -1066,10 +1068,7 @@ def test_assignment_from_4colouring_property_sweep():
     seed = 0
     while found < 100 and seed < 3000:
         seed += 1
-        try:
-            f = generate_instance(seed, 5 + seed % 6, 2 + seed % 5, distinct_pairs=True)
-        except ValueError:
-            continue
+        f = generate_instance(seed, 5 + seed % 6, 2 + seed % 5)
         g = incidence_graph(f)
         colouring = find_k_colouring(g, 4)
         if colouring is None:
@@ -1156,21 +1155,6 @@ def test_witness_bytes_are_pinned():
     _, g = _reduction_graph(0, 512)
     cut = brute_force_cut(g, exhaustive_budget(g.num_vertices))
     assert short(emit_cut_witness(cut)) == "a95bb4781ad52ce2"
-
-
-def test_generator_distinct_pairs():
-    f = generate_instance(7, 10, 8, distinct_pairs=True)
-    pairs = set()
-    for cl in f.clauses:
-        for p in itertools.combinations(sorted(map(abs, cl)), 2):
-            assert p not in pairs
-            pairs.add(p)
-
-
-def test_generator_distinct_pairs_infeasible():
-    # 3 variables admit a single pairwise-distinct clause.
-    with pytest.raises(ValueError):
-        generate_instance(1, 3, 2, distinct_pairs=True)
 
 
 def test_generator_rejects_impossible_sizes():
