@@ -15,16 +15,20 @@ values fixed so far with it False, which the last model or one solve under
 that assumption shows, and True otherwise.  Those solves start from zero
 activity, so they decide in index order, near the smallest witness.
 
+The engine takes each group in variable order, its variables increasing
+from first entry to last: `brute_force_nae` orders each clause once, and
+triangle enumeration already lists each triangle's vertices in order.
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
 the largest left is peeled: its apexes must be equal, and each of their
 values has one smallest completion, on which nothing earlier depends.
 Its seven groups are matched in the order a reduction graph's triangles
-come in, and sorted and compared as sets only when that match fails.
-Then a parity union-find merges the classes that 2-groups and apex
-equalities define into their smallest indices.  Two models first differ
-at a representative, so searching the representatives in index order
-keeps the smallest witness.  The search sees one canonical order of the
+come in, and compared as sets only when that match fails.  Then a parity
+union-find merges the classes that 2-groups and apex equalities define
+into their smallest indices, and rewrites the groups through one table of
+every literal's signed root.  Two models first differ at a
+representative, so searching the representatives in index order keeps
+the smallest witness.  The search sees one canonical order of the
 3-groups left, so a reduction graph and its formula are one search.
 All search state lives in explicit lists, so depth is bounded by the
 budget, not by the interpreter's recursion limit.  A budget error is
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import chain, compress
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .formula import (
@@ -56,8 +61,12 @@ def exhaustive_budget(num_binary_choices: int) -> SearchBudget:
 
 
 def _apex_equalities(num_vars: int, groups) -> list[tuple[int, int]]:
-    """2-groups (x, -y) equating consecutive apexes x < y of each positive 3-group."""
-    faces = {tuple(sorted(g)) for g in groups if len(g) == 3 and min(g) > 0}
+    """2-groups (x, -y) equating consecutive apexes x < y of each positive 3-group.
+
+    Each group lists its variables in increasing order, so a positive
+    3-group is its face as given.
+    """
+    faces = {tuple(g) for g in groups if len(g) == 3 and min(g) > 0}
     by_var: list[list[tuple[int, ...]]] = [[] for _ in range(num_vars + 1)]
     for face in faces:
         for v in face:
@@ -85,10 +94,12 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     a, b, c, so the seven groups give way to (x, -y).  Peeling stops at
     the first triple that is not an interior.
 
-    The groups are first matched as listed by triangle enumeration and
+    Each group lists its variables in increasing order, so its last entry
+    is its largest variable and a positive 3-group is its face.  The
+    groups are first matched as listed by triangle enumeration and
     `extract_nae`: (x, a, b), (y, a, b) with 0 < x < y, then (x, a, c),
     (x, b, c), (y, a, c), (y, b, c), (a, b, c).  Only when that fails are
-    they sorted and compared as sets, so any order peels the same.
+    they compared as sets, so any order of the list peels the same.
     """
     # by_top[v]: the groups left whose largest variable is v.  While a, b, c
     # are the largest left, the groups holding any of them are exactly those
@@ -96,7 +107,7 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     # by_top of the larger apex, which is then also in the triple.
     by_top: list[list] = [[] for _ in range(num_vars + 1)]
     for g in groups:
-        by_top[max(map(abs, g))].append(g)
+        by_top[abs(g[-1])].append(g)
     peeled = []
     top = num_vars
     while top >= 5:
@@ -108,7 +119,7 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
             near = by_top[a] + mid + high
             if len(near) != 7:
                 break
-            faces = set(map(tuple, map(sorted, near)))
+            faces = set(map(tuple, near))
             apexes = sorted({face[0] for face in faces} - {a})
             if len(apexes) != 2 or apexes[0] < 1:
                 break
@@ -118,14 +129,15 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
         by_top[y].append((x, -y))
         peeled.append(x)
         top -= 3
-    return [g for bucket in by_top[: top + 1] for g in bucket], peeled
+    return list(chain.from_iterable(by_top[: top + 1])), peeled
 
 
 def _presolve(num_vars: int, groups: list):
     """Rewrite the groups onto the variables the search needs, or None when there is no model.
 
-    Returns (m, 3-groups over 1..m, lits, the number of peeled variables).
-    The 3-groups come sorted, each by variable, with no duplicates.
+    Takes groups in variable order.  Returns (m, 3-groups over 1..m, lits,
+    the number of peeled variables).  The 3-groups come sorted, each by
+    variable, with no duplicates.
     Input variable v takes the value of the signed search variable lits[v].
     A peeled interior a, b, c with apex x reads 1, -lits[x], -1: False,
     not x, True, the smallest completion once the search pins 1 False.
@@ -152,10 +164,27 @@ def _presolve(num_vars: int, groups: list):
             parent[u], flip[u] = v, parity
         return -v if parity ^ (lit < 0) else v
 
+    def signed(table: list[int]) -> list[int]:
+        """table over 0..top, extended so that index -v reads -table[v]."""
+        return table + [-x for x in reversed(table[1:])]
+
+    def root_table() -> list[int]:
+        """The signed root of every literal, by one pass in index order."""
+        # A parent is a smaller index, so its root is known when v is reached.
+        table = list(range(top + 1))
+        for v in range(2, top + 1):
+            u = parent[v]
+            if u != v:
+                table[v] = -table[u] if flip[v] else table[u]
+        return signed(table)
+
     # A 2-group holds exactly when its literals differ.  Rewritten onto
     # roots, a 3-group holding a literal and its complement always holds,
     # one with a repeated literal holds exactly when its two literals
-    # differ, and one literal three times never holds.
+    # differ, and one literal three times never holds.  find runs only on
+    # the pairs united; each round then rewrites the 3-groups through one
+    # table of roots.
+    root = None
     while pairs:
         for p, q in pairs:
             p, q = find(p), find(q)
@@ -165,10 +194,11 @@ def _presolve(num_vars: int, groups: list):
                 lo, hi = sorted((p, q), key=abs)
                 parent[abs(hi)] = abs(lo)
                 flip[abs(hi)] = (lo < 0) ^ (hi < 0) ^ 1
+        root = root_table()
         pairs = []
         left = []
         for g in triples:
-            h = tuple(map(find, g))
+            h = tuple(map(root.__getitem__, g))
             distinct = len({abs(x) for x in h})
             if distinct == 3:
                 left.append(h)
@@ -177,14 +207,17 @@ def _presolve(num_vars: int, groups: list):
                     return None
                 pairs.append(tuple(set(h)))
         triples = left
+    if root is None:
+        root = root_table()
 
-    roots = [v for v in range(1, top + 1) if parent[v] == v]
+    roots = [v for v in range(1, top + 1) if root[v] == v]
     index = [0] * (top + 1)
     for i, v in enumerate(roots, 1):
         index[v] = i
-    lits = [0] + [index[r] if r > 0 else -index[-r] for r in map(find, range(1, top + 1))]
-    signed = (tuple(lits[x] if x > 0 else -lits[-x] for x in g) for g in triples)
-    triples = sorted({tuple(sorted(g, key=abs)) for g in signed})
+    # renamed[lit]: the signed search variable whose value lit takes.
+    renamed = list(map(signed(index).__getitem__, root))
+    lits = renamed[: top + 1]
+    triples = sorted({tuple(sorted(map(renamed.__getitem__, g), key=abs)) for g in triples})
     for x in reversed(peeled):
         lits += (1, -lits[x], -1)
     return len(roots), triples, lits, 3 * len(peeled)
@@ -225,12 +258,17 @@ class _NaeEngine:
     replaces the activities and their bump, leaving one live entry per
     free variable.
 
-    `__init__` takes groups of 2 or 3 literals over distinct variables and
-    presolves them (`_presolve`): it peels trailing gadget interiors,
-    merges the classes of the 2-groups and apex equalities, and keeps
-    only 3-groups over the `n` variables left, in one canonical order, so
-    a reduction graph runs its formula's search.  `eliminated` counts the
-    peeled variables and `merged` those merged into a smaller index.
+    `__init__` takes groups of 2 or 3 literals over distinct variables,
+    each listing its variables in increasing order (`brute_force_nae`
+    orders each clause; `brute_force_cut` passes triangle enumeration's
+    sorted triples), and presolves them (`_presolve`): it peels trailing
+    gadget interiors, merges the classes of the 2-groups and apex
+    equalities, and keeps only 3-groups over the `n` variables left, in
+    one canonical order, so a reduction graph runs its formula's search.
+    The presolve reads a group's largest variable as its last entry, so a
+    group out of that order can peel what it should not.  `eliminated`
+    counts the peeled variables and `merged` those merged into a smaller
+    index.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a
     first model, then sets every activity back to zero and fixes variables
@@ -550,7 +588,8 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
         )
     if f.num_vars == 0:
         return {}
-    engine = _NaeEngine(f.num_vars, f.clauses)
+    # The engine takes each group in variable order.
+    engine = _NaeEngine(f.num_vars, [tuple(sorted(c, key=abs)) for c in f.clauses])
     result = engine.solve(budget.max_states)
     if result is None:
         return None
@@ -587,7 +626,7 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
         return None
     if any(result[u] == result[v] == result[w] for u, v, w in triangles):
         raise AssertionError("search returned an invalid cut")
-    return Cut.from_side_a((v for v in range(1, n + 1) if result[v]), n)
+    return Cut.from_side_a(compress(range(1, n + 1), result[1:]), n)
 
 
 def _split_4colouring(g: Graph, colouring: Colouring, noun: str) -> Assignment:

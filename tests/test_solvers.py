@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import random
@@ -155,7 +156,7 @@ def test_engine_activity_rescale_keeps_the_witness():
     formulas += [generate_instance(seed, 12, 30) for seed in range(80)]
     rescaled = 0
     for f in formulas:
-        engine = _NaeEngine(f.num_vars, f.clauses)
+        engine = _NaeEngine(f.num_vars, [sorted(c, key=abs) for c in f.clauses])
         engine.inc = 1e100
         result = engine.solve(2**30)
         got = None if result is None else {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
@@ -420,40 +421,49 @@ def test_gadget_dense_graphs_agree_with_enumeration_oracles():
     assert 0 < found < len(graphs)
 
 
-def test_learning_engine_agrees_with_chronological_oracle(monkeypatch):
+@contextlib.contextmanager
+def _built_engines():
+    """Every `_NaeEngine` built inside the block, in order, each keeping the groups it was given."""
+    from naecut import solvers
+
+    built = []
+
+    class Recorded(solvers._NaeEngine):
+        def __init__(self, num_vars, groups):
+            self.given = list(groups)
+            super().__init__(num_vars, self.given)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_NaeEngine", Recorded)
+        yield built
+
+
+def test_learning_engine_agrees_with_chronological_oracle():
     # 20-40 variables with signed 2- and 3-literal groups near the threshold:
     # large enough that the engine learns clauses, small enough for a
     # search that shares no code with it.
-    from naecut import solvers
-
-    engines = []
-
-    class Recorded(solvers._NaeEngine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
-
-    monkeypatch.setattr(solvers, "_NaeEngine", Recorded)
     found = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        n = rng.randint(20, 40)
-        clauses = []
-        for _ in range(round(n * rng.uniform(1.3, 1.9))):
-            vs = rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3, 3)))
-            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-        f = CnfFormula(n, clauses)
-        witness = brute_force_nae(f, exhaustive_budget(n))
-        assert witness == chronological_smallest(n, f.clauses)
-        found += witness is not None
-    assert 0 < found < 200
-    for g in _gadget_dense_graphs():
-        model = chronological_smallest(g.num_vertices, enumerate_triangles(g))
-        expected = None
-        if model is not None:
-            side_a = frozenset(v for v in model if model[v])
-            expected = Cut(side_a, frozenset(model) - side_a)
-        assert brute_force_cut(g) == expected
+    with _built_engines() as engines:
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(20, 40)
+            clauses = []
+            for _ in range(round(n * rng.uniform(1.3, 1.9))):
+                vs = rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3, 3)))
+                clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+            f = CnfFormula(n, clauses)
+            witness = brute_force_nae(f, exhaustive_budget(n))
+            assert witness == chronological_smallest(n, f.clauses)
+            found += witness is not None
+        assert 0 < found < 200
+        for g in _gadget_dense_graphs():
+            model = chronological_smallest(g.num_vertices, enumerate_triangles(g))
+            expected = None
+            if model is not None:
+                side_a = frozenset(v for v in model if model[v])
+                expected = Cut(side_a, frozenset(model) - side_a)
+            assert brute_force_cut(g) == expected
     assert sum(e.conflicts for e in engines) > 0
     assert sum(e.learned for e in engines) > 0
 
@@ -486,7 +496,7 @@ def test_propagation_reaches_a_fixpoint_on_every_group():
         # A few 2-groups merge variables, so the presolved groups carry
         # complemented literals besides the random signs.
         signed = [[v if rng.random() < 0.6 else -v for v in cl] for cl in f.clauses[:55]]
-        inputs.append((30, signed + [rng.sample(range(1, 31), 2) for _ in range(4)]))
+        inputs.append((30, signed + [sorted(rng.sample(range(1, 31), 2)) for _ in range(4)]))
     checks = conflicts = negative = 0
     for n, groups in inputs:
         engine = _NaeEngine(n, groups)
@@ -548,7 +558,7 @@ def _recording_engine(num_vars, groups):
 def test_first_search_decides_the_most_frequent_variable_first():
     # Variable 5 lies in four groups, more than any other, so the first
     # search decides it (False) before the smaller free variables 2, 3, 4.
-    groups = [(1, -2, 3), (2, -5, 6), (-3, 5, 4), (4, -5, 6), (5, -6, 2)]
+    groups = [(1, -2, 3), (2, -5, 6), (-3, 4, 5), (4, -5, 6), (2, 5, -6)]
     engine = _recording_engine(6, groups)
     assert engine.lits == list(range(7))  # the presolve renumbers nothing
     model = engine.solve(2**30)
@@ -579,6 +589,14 @@ def _searched(num_vars, groups):
     engine = _NaeEngine(num_vars, groups)
     model = engine.solve(2**30)
     return model, tuple(getattr(engine, k) for k in _COUNTERS), engine.merged, engine.eliminated
+
+
+def _nae_searched(num_vars, clauses):
+    """(witness, search counters, merged, eliminated) of brute_force_nae, read from the engine it builds."""
+    with _built_engines() as built:
+        witness = brute_force_nae(CnfFormula(num_vars, clauses), exhaustive_budget(num_vars))
+    (engine,) = built
+    return witness, tuple(getattr(engine, k) for k in _COUNTERS), engine.merged, engine.eliminated
 
 
 def test_engine_counts_repeat_exactly():
@@ -828,10 +846,32 @@ def test_a_reduction_graph_and_its_formula_run_one_search():
     assert answers == {False, True}
 
 
+def test_the_oracles_hand_the_engine_groups_in_variable_order():
+    # The presolve reads a group's last entry as its largest variable and a
+    # positive 3-group as its face, so every group reaches the engine with
+    # strictly increasing variables: brute_force_nae orders each clause, and
+    # triangle enumeration lists each triangle's vertices in order.
+    rng = random.Random(5)
+    f = generate_instance(5, 60, 126)
+    clauses = [[v if rng.random() < 0.6 else -v for v in rng.sample(cl, 3)] for cl in f.clauses]
+    assert any(list(map(abs, cl)) != sorted(map(abs, cl)) for cl in clauses)
+    _, g = _reduction_graph(5, 16)
+    with _built_engines() as built:
+        brute_force_nae(CnfFormula(60, clauses), exhaustive_budget(60))
+        brute_force_cut(g, exhaustive_budget(g.num_vertices))
+    assert [len(engine.given) for engine in built] == [126, len(enumerate_triangles(g))]
+    for engine in built:
+        for group in engine.given:
+            variables = list(map(abs, group))
+            assert all(u < v for u, v in zip(variables, variables[1:])), group
+
+
 def test_the_search_depends_only_on_the_set_of_groups():
-    # Shuffling the groups and the literals inside each gives the same
-    # model and the same counters, presolve counts included.  No shuffle
-    # repeats a group: a repeated gadget group refuses the peel.
+    # Shuffling the groups gives the engine the same model and the same
+    # counters, presolve counts included.  Shuffling the literals inside
+    # each clause too gives brute_force_nae the same witness, and the engine
+    # it builds the same counters.  No shuffle repeats a group: a repeated
+    # gadget group refuses the peel.
     inputs = []
     for seed in range(4):
         f = generate_instance(seed, 40, 84)
@@ -847,22 +887,26 @@ def test_the_search_depends_only_on_the_set_of_groups():
     eliminated = 0
     for n, groups in inputs:
         expected = _searched(n, groups)
+        model = expected[0]
+        witness = None if model is None else {x: model[x] for x in range(1, n + 1)}
+        assert _nae_searched(n, groups) == (witness, *expected[1:])
         for _ in range(3):
+            assert _searched(n, rng.sample(groups, len(groups))) == expected
             shuffled = [rng.sample(list(g), len(g)) for g in groups]
             rng.shuffle(shuffled)
-            assert _searched(n, shuffled) == expected
-        answers.add(expected[0] is None)
+            assert _nae_searched(n, shuffled) == (witness, *expected[1:])
+        answers.add(model is None)
         eliminated += expected[3]
     assert answers == {False, True} and eliminated > 0
 
 
 def test_apex_equalities_need_four_positive_groups():
-    # {4,1,2}, {4,1,3}, {4,2,3} and the same for 5 make 4 and 5 apexes of
+    # {1,2,4}, {1,3,4}, {2,3,4} and the same for 5 make 4 and 5 apexes of
     # {1,2,3}; the engine equates them only when all of those groups and the
     # face are positive groups.
     from naecut.solvers import _apex_equalities
 
-    apex_groups = [[x, a, b] for x in (4, 5) for a, b in ((1, 2), (1, 3), (2, 3))]
+    apex_groups = [[a, b, x] for x in (4, 5) for a, b in ((1, 2), (1, 3), (2, 3))]
     assert _apex_equalities(5, [[1, 2, 3]] + apex_groups) == [(4, -5)]
     for face in ([1, 2, -3], [-1, 2, 3], [1, -2, -3]):
         assert _apex_equalities(5, [face] + apex_groups) == []
@@ -937,7 +981,7 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     assert peeled(5, gadget) == 3
     refused = [flipped(gadget, k, i) for k in (0, 1, 6) for i in range(3)]  # a signed face or apex group
     refused += [[[-v if v == 1 else v for v in g] for g in gadget]]  # an apex signed in all its groups
-    refused += [gadget + [(3, 1)], gadget + [(1, 4, 5)], gadget + [(2, -5)]]  # one extra group
+    refused += [gadget + [(1, 3)], gadget + [(1, 4, 5)], gadget + [(2, -5)]]  # one extra group
     refused += [gadget[:6] + gadget]  # a group twice
     for groups in refused:
         assert peeled(5, groups) == 0
@@ -972,15 +1016,18 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     assert (engine.n, engine.merged, engine.eliminated) == (1, 2, 6)
     assert brute_force_cut(chain) == naive_cut_smallest(chain)
 
-    # Groups out of the order triangle enumeration lists them in, each with
-    # its literals permuted, peel as the lexicographic list does.
+    # Groups out of the order triangle enumeration lists them in peel as
+    # the lexicographic list does, and so do clauses with their literals
+    # permuted too, through brute_force_nae.
     rng = random.Random(0)
     _, g = _reduction_graph(3, 16)
     for n, groups in ((5, gadget), (g.num_vertices, enumerate_triangles(g))):
-        shuffled = [tuple(rng.sample(grp, 3)) for grp in rng.sample(groups, len(groups))]
+        shuffled = rng.sample(groups, len(groups))
         assert shuffled != groups
         assert _presolve(n, shuffled) == _presolve(n, groups)
         assert peeled(n, shuffled) == peeled(n, groups) > 0
+        permuted = [tuple(rng.sample(grp, 3)) for grp in shuffled]
+        assert _nae_searched(n, permuted)[3] == peeled(n, groups)
 
 
 @pytest.mark.parametrize(
