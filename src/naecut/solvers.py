@@ -16,22 +16,22 @@ that assumption shows, and True otherwise.  Those solves start from zero
 activity, so they decide in index order, near the smallest witness.
 
 The engine takes each group in variable order, its variables increasing
-from first entry to last: `brute_force_nae` orders each clause once, and
-triangle enumeration already lists each triangle's vertices in order.
+from first entry to last, and the list of groups in lexicographic order:
+`brute_force_nae` orders each clause and then the list once, and triangle
+enumeration already lists each triangle, and the triangles, in order.
 Before searching, the engine rewrites the groups once by two exact rules.
 A gadget interior (the face two glued tetrahedra share) whose indices are
 the largest left is peeled: its apexes must be equal, and each of their
 values has one smallest completion, on which nothing earlier depends.
-Its seven groups are matched in the order a reduction graph's triangles
-come in, and compared as sets only when that match fails.  Then a parity
-union-find merges the classes that 2-groups and apex equalities define
-into their smallest indices, and rewrites the groups through one table of
-every literal's signed root.  Two models first differ at a
-representative, so searching the representatives in index order keeps
-the smallest witness.  The search sees one canonical order of the
-3-groups left, so a reduction graph and its formula are one search.
-All search state lives in explicit lists, so depth is bounded by the
-budget, not by the interpreter's recursion limit.  A budget error is
+Its seven groups are matched in the one order the sorted list gives
+them.  Then a parity union-find merges the classes that 2-groups and apex
+equalities define into their smallest indices, and rewrites the groups
+through one table of every literal's signed root.  Two models first
+differ at a representative, so searching the representatives in index
+order keeps the smallest witness.  The search sees one canonical order
+of the 3-groups left, so a reduction graph and its formula are one
+search.  All search state lives in explicit lists, so depth is bounded by
+the budget, not by the interpreter's recursion limit.  A budget error is
 always distinct from "no solution exists".
 """
 
@@ -94,12 +94,11 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     a, b, c, so the seven groups give way to (x, -y).  Peeling stops at
     the first triple that is not an interior.
 
-    Each group lists its variables in increasing order, so its last entry
-    is its largest variable and a positive 3-group is its face.  The
-    groups are first matched as listed by triangle enumeration and
-    `extract_nae`: (x, a, b), (y, a, b) with 0 < x < y, then (x, a, c),
-    (x, b, c), (y, a, c), (y, b, c), (a, b, c).  Only when that fails are
-    they compared as sets, so any order of the list peels the same.
+    Each group is a tuple listing its variables in increasing order, so
+    its last entry is its largest variable, and the list is sorted, so an
+    interior's groups reach their buckets as (x, a, b), (y, a, b) with
+    0 < x < y, then (x, a, c), (x, b, c), (y, a, c), (y, b, c), (a, b, c),
+    which is the one order matched.
     """
     # by_top[v]: the groups left whose largest variable is v.  While a, b, c
     # are the largest left, the groups holding any of them are exactly those
@@ -111,21 +110,12 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
     peeled = []
     top = num_vars
     while top >= 5:
-        abc = a, b, c = top - 2, top - 1, top
+        a, b, c = top - 2, top - 1, top
         mid, high = by_top[b], by_top[c]
         x, y = (mid[0][0], mid[1][0]) if len(mid) == 2 else (0, 0)
-        listed = [(x, a, b), (y, a, b)], [(x, a, c), (x, b, c), (y, a, c), (y, b, c), abc]
+        listed = [(x, a, b), (y, a, b)], [(x, a, c), (x, b, c), (y, a, c), (y, b, c), (a, b, c)]
         if by_top[a] or not (0 < x < y and (mid, high) == listed):
-            near = by_top[a] + mid + high
-            if len(near) != 7:
-                break
-            faces = set(map(tuple, near))
-            apexes = sorted({face[0] for face in faces} - {a})
-            if len(apexes) != 2 or apexes[0] < 1:
-                break
-            x, y = apexes
-            if faces != {abc, (x, a, b), (x, a, c), (x, b, c), (y, a, b), (y, a, c), (y, b, c)}:
-                break
+            break
         by_top[y].append((x, -y))
         peeled.append(x)
         top -= 3
@@ -135,7 +125,7 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
 def _presolve(num_vars: int, groups: list):
     """Rewrite the groups onto the variables the search needs, or None when there is no model.
 
-    Takes groups in variable order.  Returns (m, 3-groups over 1..m, lits,
+    Takes groups as `_NaeEngine` does.  Returns (m, 3-groups over 1..m, lits,
     the number of peeled variables).  The 3-groups come sorted, each by
     variable, with no duplicates.
     Input variable v takes the value of the signed search variable lits[v].
@@ -258,17 +248,18 @@ class _NaeEngine:
     replaces the activities and their bump, leaving one live entry per
     free variable.
 
-    `__init__` takes groups of 2 or 3 literals over distinct variables,
-    each listing its variables in increasing order (`brute_force_nae`
-    orders each clause; `brute_force_cut` passes triangle enumeration's
-    sorted triples), and presolves them (`_presolve`): it peels trailing
-    gadget interiors, merges the classes of the 2-groups and apex
-    equalities, and keeps only 3-groups over the `n` variables left, in
-    one canonical order, so a reduction graph runs its formula's search.
-    The presolve reads a group's largest variable as its last entry, so a
-    group out of that order can peel what it should not.  `eliminated`
-    counts the peeled variables and `merged` those merged into a smaller
-    index.
+    `__init__` takes tuples of 2 or 3 literals over distinct variables,
+    each listing its variables in increasing order, in a lexicographically
+    sorted list (`brute_force_nae` orders each clause, then the list;
+    `brute_force_cut` passes triangle enumeration's sorted triples), and
+    presolves them (`_presolve`): it peels trailing gadget interiors,
+    merges the classes of the 2-groups and apex equalities, and keeps only
+    3-groups over the `n` variables left, in one canonical order, so a
+    reduction graph runs its formula's search.  The presolve reads a
+    group's largest variable as its last entry, so a group out of that
+    order can peel what it should not; a list out of order peels less,
+    never wrongly.  `eliminated` counts the peeled variables and `merged`
+    those merged into a smaller index.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a
     first model, then sets every activity back to zero and fixes variables
@@ -588,8 +579,8 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
         )
     if f.num_vars == 0:
         return {}
-    # The engine takes each group in variable order.
-    engine = _NaeEngine(f.num_vars, [tuple(sorted(c, key=abs)) for c in f.clauses])
+    # The engine takes each group in variable order, and the list sorted.
+    engine = _NaeEngine(f.num_vars, sorted(tuple(sorted(c, key=abs)) for c in f.clauses))
     result = engine.solve(budget.max_states)
     if result is None:
         return None

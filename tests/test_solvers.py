@@ -156,7 +156,7 @@ def test_engine_activity_rescale_keeps_the_witness():
     formulas += [generate_instance(seed, 12, 30) for seed in range(80)]
     rescaled = 0
     for f in formulas:
-        engine = _NaeEngine(f.num_vars, [sorted(c, key=abs) for c in f.clauses])
+        engine = _NaeEngine(f.num_vars, sorted(tuple(sorted(c, key=abs)) for c in f.clauses))
         engine.inc = 1e100
         result = engine.solve(2**30)
         got = None if result is None else {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
@@ -848,9 +848,11 @@ def test_a_reduction_graph_and_its_formula_run_one_search():
 
 def test_the_oracles_hand_the_engine_groups_in_variable_order():
     # The presolve reads a group's last entry as its largest variable and a
-    # positive 3-group as its face, so every group reaches the engine with
-    # strictly increasing variables: brute_force_nae orders each clause, and
-    # triangle enumeration lists each triangle's vertices in order.
+    # positive 3-group as its face, and matches a gadget's groups in sorted
+    # order, so every group reaches the engine with strictly increasing
+    # variables, in a sorted list: brute_force_nae orders each clause and
+    # then the list, and triangle enumeration lists each triangle's
+    # vertices, and the triangles, in order.
     rng = random.Random(5)
     f = generate_instance(5, 60, 126)
     clauses = [[v if rng.random() < 0.6 else -v for v in rng.sample(cl, 3)] for cl in f.clauses]
@@ -861,37 +863,41 @@ def test_the_oracles_hand_the_engine_groups_in_variable_order():
         brute_force_cut(g, exhaustive_budget(g.num_vertices))
     assert [len(engine.given) for engine in built] == [126, len(enumerate_triangles(g))]
     for engine in built:
+        assert engine.given == sorted(engine.given)
         for group in engine.given:
             variables = list(map(abs, group))
             assert all(u < v for u, v in zip(variables, variables[1:])), group
 
 
 def test_the_search_depends_only_on_the_set_of_groups():
-    # Shuffling the groups gives the engine the same model and the same
-    # counters, presolve counts included.  Shuffling the literals inside
-    # each clause too gives brute_force_nae the same witness, and the engine
-    # it builds the same counters.  No shuffle repeats a group: a repeated
+    # Shuffling the clauses, and the literals inside each clause too, gives
+    # brute_force_nae the same witness, and the engine it builds the same
+    # counters, presolve counts included, as the sorted list gives the
+    # engine.  Handed a shuffled list itself, the engine may peel less,
+    # but finds the same model.  No shuffle repeats a group: a repeated
     # gadget group refuses the peel.
     inputs = []
     for seed in range(4):
         f = generate_instance(seed, 40, 84)
         inputs.append((40, f.clauses))
         rng = random.Random(seed)
-        signed = [[v if rng.random() < 0.6 else -v for v in cl] for cl in f.clauses[:70]]
+        signed = [tuple(v if rng.random() < 0.6 else -v for v in cl) for cl in f.clauses[:70]]
         pairs = {tuple(sorted(rng.sample(range(1, 41), 2))) for _ in range(5)}
-        inputs.append((40, signed + [[x, -y if rng.random() < 0.5 else y] for x, y in pairs]))
+        inputs.append((40, signed + [(x, -y if rng.random() < 0.5 else y) for x, y in pairs]))
         g = _reduction_graph(seed, 12 + 8 * seed)[1]
         inputs.append((g.num_vertices, enumerate_triangles(g)))
     rng = random.Random(2026)
     answers = set()
     eliminated = 0
     for n, groups in inputs:
-        expected = _searched(n, groups)
+        expected = _searched(n, sorted(groups))
         model = expected[0]
         witness = None if model is None else {x: model[x] for x in range(1, n + 1)}
         assert _nae_searched(n, groups) == (witness, *expected[1:])
         for _ in range(3):
-            assert _searched(n, rng.sample(groups, len(groups))) == expected
+            shuffled = rng.sample(groups, len(groups))
+            assert _searched(n, shuffled)[0] == model
+            assert _nae_searched(n, shuffled) == (witness, *expected[1:])
             shuffled = [rng.sample(list(g), len(g)) for g in groups]
             rng.shuffle(shuffled)
             assert _nae_searched(n, shuffled) == (witness, *expected[1:])
@@ -965,11 +971,44 @@ def test_presolve_leaves_the_original_variables_of_a_reduction_graph():
 
 
 def _gadget_groups(x, y, a, b, c):
-    return [(a, b, c)] + [(z, u, w) for z in (x, y) for u, w in ((a, b), (a, c), (b, c))]
+    """The seven groups of the gadget interior a < b < c with apexes x < y below it, sorted."""
+    return [(z, u, w) for z in (x, y) for u, w in ((a, b), (a, c), (b, c))] + [(a, b, c)]
+
+
+def _random_gadget_stack(seed):
+    """(n, shuffled clauses with permuted literals, variables the peel eliminates).
+
+    Random signed groups on a base 1..n0 with n0 <= 4, so the peel cannot
+    reach into it, and one or two gadgets stacked above it, their apexes
+    drawn from the base.  A gadget with one literal signed is not an
+    interior, so the peel eliminates 3 variables per intact gadget counted
+    down from the top.
+    """
+    rng = random.Random(seed)
+    n0 = rng.randint(2, 4)
+    clauses = []
+    for _ in range(rng.randint(0, 5)):
+        size = rng.choice((2, 3)) if n0 > 2 else 2
+        clauses.append([v if rng.random() < 0.7 else -v for v in rng.sample(range(1, n0 + 1), size)])
+    n = n0
+    intact = []
+    for _ in range(rng.randint(1, 2)):
+        x, y = sorted(rng.sample(range(1, n0 + 1), 2))
+        gadget = [list(grp) for grp in _gadget_groups(x, y, n + 1, n + 2, n + 3)]
+        broken = rng.random() < 0.3
+        if broken:
+            grp = rng.choice(gadget)
+            grp[rng.randrange(3)] *= -1
+        clauses += gadget
+        intact.append(not broken)
+        n += 3
+    eliminated = 3 * next((k for k, ok in enumerate(reversed(intact)) if not ok), len(intact))
+    rng.shuffle(clauses)
+    return n, [rng.sample(cl, len(cl)) for cl in clauses], eliminated
 
 
 def test_presolve_peels_only_trailing_gadget_interiors():
-    from naecut.solvers import _NaeEngine, _presolve
+    from naecut.solvers import _NaeEngine
 
     def peeled(n, groups):
         return _NaeEngine(n, groups).eliminated
@@ -977,22 +1016,30 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     def flipped(groups, k, i):
         return [[-v if (j, m) == (k, i) else v for m, v in enumerate(g)] for j, g in enumerate(groups)]
 
+    def nae_peeled(n, clauses):
+        """Variables brute_force_nae's engine peels, once its witness is checked by enumeration."""
+        witness, _, _, eliminated = _nae_searched(n, clauses)
+        assert witness == naive_nae_smallest(CnfFormula(n, clauses))
+        return eliminated
+
+    def mixed(groups):
+        """The groups shuffled, each with its literals permuted."""
+        return [rng.sample(list(grp), len(grp)) for grp in rng.sample(groups, len(groups))]
+
+    rng = random.Random(0)
     gadget = _gadget_groups(1, 2, 3, 4, 5)
     assert peeled(5, gadget) == 3
-    refused = [flipped(gadget, k, i) for k in (0, 1, 6) for i in range(3)]  # a signed face or apex group
+    refused = [flipped(gadget, k, i) for k in (0, 5, 6) for i in range(3)]  # a signed apex group or face
     refused += [[[-v if v == 1 else v for v in g] for g in gadget]]  # an apex signed in all its groups
     refused += [gadget + [(1, 3)], gadget + [(1, 4, 5)], gadget + [(2, -5)]]  # one extra group
     refused += [gadget[:6] + gadget]  # a group twice
     for groups in refused:
-        assert peeled(5, groups) == 0
-        f = CnfFormula(5, groups)
-        assert brute_force_nae(f) == naive_nae_smallest(f)
+        assert nae_peeled(5, groups) == 0
     # The apexes 4, 5 of the peeled interior 6, 7, 8 keep the 2-group (4, -5),
     # so the interior 3, 4, 5 below has an eighth group and stays.
     nested = gadget + _gadget_groups(4, 5, 6, 7, 8)
     assert peeled(8, nested) == 3
-    f = CnfFormula(8, nested)
-    assert brute_force_nae(f) == naive_nae_smallest(f)
+    assert nae_peeled(8, nested) == nae_peeled(8, mixed(nested)) == 3
 
     chain = _tetrahedra(9, (4, 5, 6), (1, 2), extra=edge_list(_tetrahedra(9, (7, 8, 9), (2, 3))))
     graphs = [
@@ -1015,19 +1062,33 @@ def test_presolve_peels_only_trailing_gadget_interiors():
     engine = _NaeEngine(9, enumerate_triangles(chain))
     assert (engine.n, engine.merged, engine.eliminated) == (1, 2, 6)
     assert brute_force_cut(chain) == naive_cut_smallest(chain)
+    assert nae_peeled(9, mixed(enumerate_triangles(chain))) == 6
 
-    # Groups out of the order triangle enumeration lists them in peel as
-    # the lexicographic list does, and so do clauses with their literals
-    # permuted too, through brute_force_nae.
-    rng = random.Random(0)
+    # brute_force_nae sorts what it hands the engine, so shuffled clauses,
+    # with their literals permuted too, peel as the sorted list does.
+    # Handed a shuffled list itself, the engine may peel less, but finds
+    # the same model.
     _, g = _reduction_graph(3, 16)
     for n, groups in ((5, gadget), (g.num_vertices, enumerate_triangles(g))):
         shuffled = rng.sample(groups, len(groups))
         assert shuffled != groups
-        assert _presolve(n, shuffled) == _presolve(n, groups)
-        assert peeled(n, shuffled) == peeled(n, groups) > 0
-        permuted = [tuple(rng.sample(grp, 3)) for grp in shuffled]
-        assert _nae_searched(n, permuted)[3] == peeled(n, groups)
+        assert _nae_searched(n, shuffled)[3] == peeled(n, groups) > 0
+        assert _nae_searched(n, mixed(groups))[3] == peeled(n, groups)
+        assert _NaeEngine(n, shuffled).solve(2**30) == _NaeEngine(n, groups).solve(2**30)
+
+    # Random bases below one or two stacked gadgets, some broken.  A base
+    # that contradicts the apexes' equality is refuted by the presolve,
+    # which then runs no solve and reports nothing eliminated.
+    searched = set()
+    for seed in range(300):
+        n, clauses, expected = _random_gadget_stack(seed)
+        witness, counters, _, eliminated = _nae_searched(n, clauses)
+        assert witness == naive_nae_smallest(CnfFormula(n, clauses))
+        refuted = counters[_COUNTERS.index("solves")] == 0
+        assert eliminated == (0 if refuted else expected), seed
+        if not refuted:
+            searched.add(expected)
+    assert searched == {0, 3, 6}
 
 
 @pytest.mark.parametrize(
