@@ -175,6 +175,27 @@ def _assignment_fault(args) -> str | None:
     return nae_fault(f, witness)
 
 
+def _describes(rm, g) -> bool:
+    """Whether g is the map's graph, rm.graph, without building it.
+
+    parse_reduction_map's rules make the map's edges distinct: no variable
+    is in two triangles, apexes are two variables and each face is three
+    fresh ids.  So g is that graph when it has its vertex and edge counts
+    and every map edge.  Each edge is looked up in the row of a triangle or
+    face vertex, which no other map line names, so no row of g is read more
+    than four times.
+    """
+    tri, gad = rm.clause_triangle.values(), rm.clause_gadget.values()
+    if g.num_vertices != rm.num_vertices or g.num_edges != 3 * len(tri) + 9 * len(gad):
+        return False
+    has = g.has_edge
+    return all(has(u, v) and has(u, w) and has(v, w) for u, v, w in tri) and all(
+        has(a, x) and has(a, y) and has(a, b) and has(a, c)
+        and has(b, x) and has(b, y) and has(b, c) and has(c, x) and has(c, y)
+        for x, y, a, b, c in gad
+    )
+
+
 def _cut_fault(args) -> str | None:
     if args.assignment and not args.map:
         raise FormatError("verify cut reads --assignment only with --map")
@@ -186,7 +207,7 @@ def _cut_fault(args) -> str | None:
     if fault is not None or not args.map:
         return fault
     rm = parse_reduction_map(_read(args.map))
-    if rm.graph != g:
+    if not _describes(rm, g):
         raise FormatError("reduction map does not describe this graph")
     if not args.assignment:
         return None

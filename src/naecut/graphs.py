@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .errors import BudgetExceeded, FormatError, SearchBudget
 from .textio import MAX_COUNT, columns, decoded, ints, read_header, records
@@ -17,7 +18,8 @@ class Graph:
 
     `adj` is a list: `adj[v]` is the sorted tuple of v's neighbours and `adj[0]`
     is empty.  It is the only stored edge data; the frozenset `edges` is
-    rebuilt from it.
+    rebuilt from it.  The rows share one int object per vertex, so a parsed
+    graph keeps no int per edge end.
     """
 
     __slots__ = ("num_vertices", "adj")
@@ -30,19 +32,22 @@ class Graph:
         n = num_vertices
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [[] for _ in range(n + 1)]
+        ids = list(range(n + 1))
+        adj = [[] for _ in ids]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        # Each row becomes its tuple in place, so the lists go one at a time.
+        for u, row in enumerate(adj):
             row.sort()
             if len(set(row)) != len(row):
-                row[:] = sorted(set(row))
-        self.num_vertices, self.adj = n, list(map(tuple, adj))
+                row = sorted(set(row))
+            adj[u] = tuple(row)
+        self.num_vertices, self.adj = n, adj
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -73,7 +78,7 @@ class Cut:
     def from_side_a(side_a, num_vertices: int) -> "Cut":
         """The cut with the given side A; side B is the rest of 1..num_vertices."""
         side_a = frozenset(side_a)
-        return Cut(side_a, frozenset(range(1, num_vertices + 1)) - side_a)
+        return Cut(side_a, frozenset(filterfalse(side_a.__contains__, range(1, num_vertices + 1))))
 
 
 @dataclass(frozen=True)
@@ -266,8 +271,12 @@ def cut_fault(g: Graph, cut: Cut) -> str | None:
     a, b = cut.side_a, cut.side_b
     if not a or not b:
         return "one side of the cut is empty"
-    if a & b or a | b != frozenset(range(1, g.num_vertices + 1)):
-        return f"sides do not partition the vertices 1..{g.num_vertices}"
+    # Disjoint sides of n ids in all, each within 1..n, cover 1..n exactly.
+    n = g.num_vertices
+    if len(a) + len(b) != n or not a.isdisjoint(b) or not (
+        1 <= min(min(a), min(b)) and max(max(a), max(b)) <= n
+    ):
+        return f"sides do not partition the vertices 1..{n}"
     bad = next(_triangles(g, cut.side_a), None)
     return None if bad is None else "monochromatic triangle {} {} {}".format(*bad)
 

@@ -123,17 +123,18 @@ def _peel_trailing_interiors(num_vars: int, groups: list):
 
 
 def _presolve(num_vars: int, groups: list):
-    """Rewrite the groups onto the variables the search needs, or None when there is no model.
+    """Rewrite the groups onto the variables the search needs.
 
     Takes groups as `_NaeEngine` does.  Returns (m, 3-groups over 1..m, lits,
-    the number of peeled variables).  The 3-groups come sorted, each by
-    variable, with no duplicates.
+    the number of peeled variables), or (0, [], None, that number) when there
+    is no model.  The 3-groups come sorted, each by variable, with no duplicates.
     Input variable v takes the value of the signed search variable lits[v].
     A peeled interior a, b, c with apex x reads 1, -lits[x], -1: False,
     not x, True, the smallest completion once the search pins 1 False.
     """
     groups, peeled = _peel_trailing_interiors(num_vars, groups)
     top = num_vars - 3 * len(peeled)
+    refuted = (0, [], None, 3 * len(peeled))
     pairs = [g for g in groups if len(g) == 2] + _apex_equalities(top, groups)
     triples = [g for g in groups if len(g) == 3]
 
@@ -179,7 +180,7 @@ def _presolve(num_vars: int, groups: list):
         for p, q in pairs:
             p, q = find(p), find(q)
             if p == q:
-                return None
+                return refuted
             if p != -q:
                 lo, hi = sorted((p, q), key=abs)
                 parent[abs(hi)] = abs(lo)
@@ -194,7 +195,7 @@ def _presolve(num_vars: int, groups: list):
                 left.append(h)
             elif len(set(h)) == distinct:
                 if distinct == 1:
-                    return None
+                    return refuted
                 pairs.append(tuple(set(h)))
         triples = left
     if root is None:
@@ -259,7 +260,9 @@ class _NaeEngine:
     group's largest variable as its last entry, so a group out of that
     order can peel what it should not; a list out of order peels less,
     never wrongly.  `eliminated` counts the peeled variables and `merged`
-    those merged into a smaller index.
+    those merged into a smaller index.  When the presolve refutes the
+    groups, `lits` is None, `eliminated` still counts what the peel
+    removed first, and `merged` reads 0: the merging stopped part way.
 
     `solve` pins variable 1 False, as complement symmetry allows, finds a
     first model, then sets every activity back to zero and fixes variables
@@ -283,10 +286,8 @@ class _NaeEngine:
     """
 
     def __init__(self, num_vars: int, groups):
-        presolved = _presolve(num_vars, list(groups))
-        # lits is None when the presolve already shows there is no model.
-        n, groups, self.lits, self.eliminated = presolved or (0, [], None, 0)
-        self.merged = 0 if presolved is None else num_vars - self.eliminated - n
+        n, groups, self.lits, self.eliminated = _presolve(num_vars, list(groups))
+        self.merged = 0 if self.lits is None else num_vars - self.eliminated - n
         self.n = n
         self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)

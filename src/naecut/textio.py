@@ -20,8 +20,9 @@ import re
 from .errors import FormatError
 
 # The largest header count or map vertex id: storage is sized from these before
-# the rest of the file is read.  At the limit a graph takes about 90 MB and a split
-# formula about 300 MB; the largest benchmark graph has 53,324 vertices.
+# the rest of the file is read.  At the limit a parsed graph keeps about 87 MB (a
+# million vertices and edges) and a split formula takes about 300 MB; the largest
+# benchmark graph has 53,324 vertices.
 MAX_COUNT = 1_000_000
 
 # `columns` checks and splits its span in pieces of about this many characters, so

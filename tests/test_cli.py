@@ -37,6 +37,7 @@ from naecut import (
     parse_cut_witness,
     parse_graph,
     parse_nae_witness,
+    parse_reduction_map,
     split_repeated_variables,
 )
 from naecut import cli
@@ -1037,6 +1038,132 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err and "internal error" not in err, f"{where}: {err[-300:]!r}"
         codes.add(code)
     assert codes >= {0, 1, 2, 3}
+
+
+# `verify cut --map` checks the map against the graph by its vertex count, its
+# edge count and each of its edges, without building the map's graph.
+
+def _map_check_inputs(tmp_path):
+    """The planted (5, 6) map, graph and cut; the cut and its assignment are
+    written to tmp_path."""
+    files = _planted_inputs(5, 6)
+    for name in ("cut", "wit_split"):
+        (tmp_path / name).write_bytes(files[name])
+    g = parse_graph(files["graph"])
+    return files["rmap"], g, parse_cut_witness(files["cut"], g.num_vertices)
+
+
+def _changed_graph(g, cut, change, rng) -> bytes:
+    """g with an isolated vertex added, an edge added across the cut, or an edge
+    moved across it, as text; each keeps the cut valid."""
+    n, edges = g.num_vertices, edge_list(g)
+    if change == "isolated":
+        return emit_graph(Graph(n + 1, edges)).encode()
+    if change == "moved edge":
+        edges.remove(rng.choice(edges))
+    across = [(u, v) for u in sorted(cut.side_a) for v in sorted(cut.side_b) if not g.has_edge(u, v)]
+    return emit_graph(Graph(n, edges + [rng.choice(across)])).encode()
+
+
+def _verify_cut_map(tmp_path, capsys, graph: bytes, rmap: bytes):
+    (tmp_path / "g.col").write_bytes(graph)
+    (tmp_path / "m.txt").write_bytes(rmap)
+    code = main(["verify", "cut", "g.col", "cut", "--map", "m.txt", "--assignment", "wit_split"])
+    return (code, *capsys.readouterr())
+
+
+def test_verify_cut_refuses_a_map_of_another_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rmap, g, cut = _map_check_inputs(tmp_path)
+    graph = emit_graph(g).encode()
+    assert _verify_cut_map(tmp_path, capsys, graph, rmap) == (0, "valid cut\n", "")
+    lines = rmap.decode().splitlines(keepends=True)
+    tri = [i for i, line in enumerate(lines) if line.startswith("tri ")]
+    gad = [i for i, line in enumerate(lines) if line.startswith("gad ")]
+    # Every variable is in a triangle, so a triangle edge moves by swapping the
+    # last vertices of two triangles; a gadget's apex y moves to another variable.
+    moved_tri = list(lines)
+    first, second = (lines[i].split() for i in tri[:2])
+    first[-1], second[-1] = second[-1], first[-1]
+    moved_tri[tri[0]], moved_tri[tri[1]] = (" ".join(t) + "\n" for t in (first, second))
+    moved_gad = list(lines)
+    kind, ci, x, y, *face = lines[gad[0]].split()
+    y = next(str(z) for z in range(1, 99) if str(z) not in (x, y))
+    moved_gad[gad[0]] = " ".join((kind, ci, x, y, *face)) + "\n"
+    for moved in (moved_tri, moved_gad):
+        rm = parse_reduction_map("".join(moved))
+        assert rm.num_vertices == g.num_vertices and rm.graph.num_edges == g.num_edges
+        assert rm.graph != g
+    rng = random.Random(0)
+    refused = (2, "", "error: reduction map does not describe this graph\n")
+    for graph, m in (
+        (graph, "".join(moved_tri).encode()),
+        (graph, "".join(moved_gad).encode()),
+        *((_changed_graph(g, cut, change, rng), rmap) for change in ("isolated", "extra edge", "moved edge")),
+    ):
+        assert _verify_cut_map(tmp_path, capsys, graph, m) == refused
+
+
+def _mutate_map(rmap: bytes, rng: random.Random) -> bytes:
+    """One to three edits of the ids on `tri` and `gad` lines, most of which keep
+    the map well formed, or one of the fuzzer's byte edits."""
+    if rng.random() < 0.1:
+        return _mutate(rmap, rng)
+    lines = [line.split() for line in rmap.decode().splitlines()]
+    n = sum(line[0] == "var" for line in lines)
+    tri = [line for line in lines if line[0] == "tri"]
+    gad = [line for line in lines if line[0] == "gad"]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(5)
+        if edit == 0:  # a triangle's vertices permuted: the same graph
+            line = rng.choice(tri)
+            line[2:] = rng.sample(line[2:], 3)
+        elif edit == 1:  # a gadget's apexes swapped: the same graph
+            line = rng.choice(gad)
+            line[2], line[3] = line[3], line[2]
+        elif edit == 2:  # a vertex swapped between two triangles
+            (a, b), i, j = rng.sample(tri, 2), rng.randrange(2, 5), rng.randrange(2, 5)
+            a[i], b[j] = b[j], a[i]
+        elif edit == 3:  # an apex moved to any variable, or apexes swapped between gadgets
+            a, b = rng.choice(gad), rng.choice(gad)
+            a[rng.randrange(2, 4)] = str(rng.randint(1, n)) if rng.random() < 0.7 else b[rng.randrange(2, 4)]
+        else:  # any id set to any value near the vertex range
+            line = rng.choice(tri + gad)
+            line[rng.randrange(2, len(line))] = str(rng.randint(0, int(gad[-1][-1]) + 1))
+    return "".join(" ".join(line) + "\n" for line in lines).encode()
+
+
+def test_verify_cut_map_check_agrees_with_building_the_maps_graph(tmp_path, capsys, monkeypatch):
+    # Seeded differential against the rule the check replaced, kept here: a map
+    # describes the graph exactly when the graph it builds equals it.  The
+    # verdict line or the error message must match on every mutated map.
+    monkeypatch.chdir(tmp_path)
+    rmap, g, cut = _map_check_inputs(tmp_path)
+    graph = emit_graph(g).encode()
+    args = SimpleNamespace(kind="cut", object="g.col", certificate="cut", map="m.txt", assignment="wit_split")
+
+    def verdict():
+        try:
+            code = cli.cmd_verify(args)
+        except FormatError as exc:
+            return 2, f"error: {exc}"
+        return code, capsys.readouterr().out
+
+    rng = random.Random(20261022)
+    seen = {}
+    for trial in range(2000):
+        change = rng.choice(("none", "none", "isolated", "extra edge", "moved edge"))
+        mutated = _mutate_map(rmap, rng)
+        (tmp_path / "g.col").write_bytes(graph if change == "none" else _changed_graph(g, cut, change, rng))
+        (tmp_path / "m.txt").write_bytes(mutated)
+        checked = verdict()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_describes", lambda rm, g: rm.graph == g)
+            assert verdict() == checked, (trial, change, mutated)
+        key = checked[0], "does not describe" in checked[1]
+        seen[key] = seen.get(key, 0) + 1
+    # Accepted maps, refused maps and other format errors all occur often.
+    assert min(seen[0, False], seen[2, True], seen[2, False]) >= 100, seen
 
 
 def _library_fault(kind, obj, cert):

@@ -144,6 +144,23 @@ def test_graph_holds_each_edge_once_per_endpoint():
     assert h == g
     # Two tuple slots per edge plus a row header per vertex come to about 36 bytes per edge.
     assert held / len(edges) < 100, f"{held / len(edges):.1f} bytes held per edge"
+    # A parsed graph adds one int per vertex, shared by every row that names it:
+    # about 50 bytes per edge.  An int per edge end would make it about 90.
+    text = emit_graph(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert held / len(edges) < 60, f"{held / len(edges):.1f} bytes held per parsed edge"
+    # Equal ids in two rows are one object, also above 256, where CPython
+    # keeps no shared small int.
+    first = {}
+    for row in parsed.adj:
+        for v in row:
+            assert first.setdefault(v, v) is v
 
 
 def test_parse_k3():
@@ -364,8 +381,38 @@ def test_cut_verification_on_k3():
 def test_cut_verification_rejects_non_partitions():
     g = complete_graph(3)
     not_a_partition = "sides do not partition the vertices 1..3"
-    assert cut_fault(g, Cut(frozenset({1}), frozenset({2}))) == not_a_partition
-    assert cut_fault(g, Cut(frozenset({1, 2}), frozenset({2, 3}))) == not_a_partition
+    empty = "one side of the cut is empty"
+    for a, b, fault in (
+        ({1}, {2}, not_a_partition),  # vertex 3 missing
+        ({1, 2}, {2, 3}, not_a_partition),  # vertex 2 on both sides
+        ({0, 1}, {2}, not_a_partition),  # vertex 0, and the sizes add up to 3
+        ({1}, {0, 2, 3}, not_a_partition),
+        ({1, 2}, {4}, not_a_partition),  # vertex n+1, and the sizes add up to 3
+        ({4, 1}, {2, 3}, not_a_partition),
+        ({1, 2, 3}, {4}, not_a_partition),
+        (set(), {1, 2, 3}, empty),
+        ({1, 2, 3}, set(), empty),
+        (set(), {0}, empty),
+    ):
+        assert cut_fault(g, Cut(frozenset(a), frozenset(b))) == fault
+
+    def partition_fault(n, a, b):
+        """The partition rule as a set comparison, the reference for cut_fault's."""
+        if not a or not b:
+            return empty
+        if a & b or a | b != frozenset(range(1, n + 1)):
+            return f"sides do not partition the vertices 1..{n}"
+        return None
+
+    rng = random.Random(7)
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        g = Graph(n)  # edgeless: only the partition rule can fault
+        a, b = (frozenset(v for v in range(-1, n + 3) if rng.random() < 0.4) for _ in range(2))
+        if rng.random() < 0.5:
+            b = Cut.from_side_a(a, n).side_b
+            assert b == frozenset(range(1, n + 1)) - a
+        assert cut_fault(g, Cut(a, b)) == partition_fault(n, a, b), (n, a, b)
 
 
 def test_cut_verification_gadget_endpoint_side():

@@ -1078,17 +1078,22 @@ def test_presolve_peels_only_trailing_gadget_interiors():
 
     # Random bases below one or two stacked gadgets, some broken.  A base
     # that contradicts the apexes' equality is refuted by the presolve,
-    # which then runs no solve and reports nothing eliminated.
+    # which then runs no solve, but still counts what the peel eliminated
+    # before the refutation.
     searched = set()
+    refuted_peeled = []
     for seed in range(300):
         n, clauses, expected = _random_gadget_stack(seed)
-        witness, counters, _, eliminated = _nae_searched(n, clauses)
+        witness, counters, merged, eliminated = _nae_searched(n, clauses)
         assert witness == naive_nae_smallest(CnfFormula(n, clauses))
-        refuted = counters[_COUNTERS.index("solves")] == 0
-        assert eliminated == (0 if refuted else expected), seed
-        if not refuted:
+        assert eliminated == expected, seed
+        if counters[_COUNTERS.index("solves")] == 0:
+            assert witness is None and merged == 0, seed
+            refuted_peeled.append(expected > 0)
+        else:
             searched.add(expected)
     assert searched == {0, 3, 6}
+    assert (len(refuted_peeled), sum(refuted_peeled)) == (131, 98)
 
 
 @pytest.mark.parametrize(
