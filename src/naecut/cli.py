@@ -181,18 +181,15 @@ def _describes(rm, g) -> bool:
     parse_reduction_map's rules make the map's edges distinct: no variable
     is in two triangles, apexes are two variables and each face is three
     fresh ids.  So g is that graph when it has its vertex and edge counts
-    and every map edge.  Each edge is looked up in the row of a triangle or
-    face vertex, which no other map line names, so no row of g is read more
-    than four times.
+    and every edge of rm.edge_columns().  Each edge is looked up in the row
+    of a triangle or face vertex, which no other map line names, so no row
+    of g is read more than four times.
     """
-    tri, gad = rm.clause_triangle.values(), rm.clause_gadget.values()
-    if g.num_vertices != rm.num_vertices or g.num_edges != 3 * len(tri) + 9 * len(gad):
-        return False
-    has = g.has_edge
-    return all(has(u, v) and has(u, w) and has(v, w) for u, v, w in tri) and all(
-        has(a, x) and has(a, y) and has(a, b) and has(a, c)
-        and has(b, x) and has(b, y) and has(b, c) and has(c, x) and has(c, y)
-        for x, y, a, b, c in gad
+    us, vs = rm.edge_columns()
+    return (
+        g.num_vertices == rm.num_vertices
+        and g.num_edges == len(us)
+        and all(map(g.has_edge, us, vs))
     )
 
 

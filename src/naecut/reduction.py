@@ -43,18 +43,23 @@ class ReductionMap:
     def num_vertices(self) -> int:
         return self.num_variables + 3 * len(self.clause_gadget)
 
-    @cached_property
-    def graph(self) -> Graph:
-        """The reduction graph: a triangle per `tri` line, nine edges per `gad` line."""
+    def edge_columns(self) -> tuple[list[int], list[int]]:
+        """The map's edges as columns (us, vs): three per `tri` line, then nine
+        per `gad` line, each gadget edge listed from its face vertex."""
         us: list[int] = []
         vs: list[int] = []
         for v1, v2, v3 in self.clause_triangle.values():
             us += (v1, v1, v2)
             vs += (v2, v3, v3)
         for x, y, a, b, c in self.clause_gadget.values():
-            us += (x, x, x, y, y, y, a, b, a)
-            vs += (a, b, c, a, b, c, b, c, c)
-        return Graph(self.num_vertices, zip(us, vs))
+            us += (a, a, a, a, b, b, b, c, c)
+            vs += (x, y, b, c, x, y, c, x, y)
+        return us, vs
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The reduction graph of edge_columns(), built on first use."""
+        return Graph(self.num_vertices, zip(*self.edge_columns()))
 
 
 def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
@@ -87,19 +92,14 @@ def build_graph(f: CnfFormula) -> tuple[Graph, ReductionMap]:
 def construct_5_colouring(g: Graph, rm: ReductionMap) -> Colouring:
     """Explicit proper colouring of a reduction graph with at most 5 colours.
 
-    Clause triangles get colours 1, 2, 3 by ascending vertex id; variable
-    vertices outside any triangle get colour 1; each gadget's internal trio
-    takes the three smallest colours of 1..5 not used by its endpoints.
+    Variables start at colour 1, and each clause triangle's vertices get 1, 2, 3
+    in map order; each gadget's face takes the three smallest colours of 1..5
+    not used by its apexes.  No colour depends on the order of the clauses.
     """
-    colours: dict[int, int] = {}
-    for ci in sorted(rm.clause_triangle):
-        v1, v2, v3 = rm.clause_triangle[ci]
+    colours = dict.fromkeys(range(1, rm.num_variables + 1), 1)
+    for v1, v2, v3 in rm.clause_triangle.values():
         colours[v1], colours[v2], colours[v3] = 1, 2, 3
-    for x in range(1, rm.num_variables + 1):
-        if x not in colours:
-            colours[x] = 1
-    for ci in sorted(rm.clause_gadget):
-        x, y, a, b, c = rm.clause_gadget[ci]
+    for x, y, a, b, c in rm.clause_gadget.values():
         used = {colours[x], colours[y]}
         free = [colour for colour in range(1, 6) if colour not in used]
         colours[a], colours[b], colours[c] = free[:3]

@@ -565,6 +565,14 @@ class _NaeEngine:
         return [model[x] if x >= 0 else not model[-x] for x in self.lits]
 
 
+def _candidate_budget(bits: int, noun: str, budget: SearchBudget | None) -> int:
+    """The budget's max_states (the default's if None), unless 2^bits candidate `noun` exceed it."""
+    max_states = (budget or SearchBudget()).max_states
+    if 2**bits > max_states:
+        raise BudgetExceeded(f"2^{bits} candidate {noun} exceed the budget of {max_states} states")
+    return max_states
+
+
 def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assignment | None:
     """Lexicographically smallest NAE-satisfying assignment, or None.
 
@@ -572,17 +580,12 @@ def brute_force_nae(f: CnfFormula, budget: SearchBudget | None = None) -> Assign
     complement-invariant, so variable 1 is pinned to False: whenever any
     witness exists, the smallest one has variable 1 false.
     """
-    budget = budget or SearchBudget()
-    if 2**f.num_vars > budget.max_states:
-        raise BudgetExceeded(
-            f"2^{f.num_vars} candidate assignments exceed the budget of "
-            f"{budget.max_states} states"
-        )
+    max_states = _candidate_budget(f.num_vars, "assignments", budget)
     if f.num_vars == 0:
         return {}
     # The engine takes each group in variable order, and the list sorted.
     engine = _NaeEngine(f.num_vars, sorted(tuple(sorted(c, key=abs)) for c in f.clauses))
-    result = engine.solve(budget.max_states)
+    result = engine.solve(max_states)
     if result is None:
         return None
     witness = {x: bool(result[x]) for x in range(1, f.num_vars + 1)}
@@ -602,18 +605,14 @@ def brute_force_cut(g: Graph, budget: SearchBudget | None = None) -> Cut | None:
     empty, so the engine needs no "some vertex on side A" constraint, and
     checking its model against every triangle also rules out an empty side.
     """
-    budget = budget or SearchBudget()
     n = g.num_vertices
     if n <= 1:
         return None
-    if 2 ** (n - 1) > budget.max_states:
-        raise BudgetExceeded(
-            f"2^{n - 1} candidate cuts exceed the budget of {budget.max_states} states"
-        )
+    max_states = _candidate_budget(n - 1, "cuts", budget)
     triangles = enumerate_triangles(g)
     if not triangles:
         return Cut.from_side_a({n}, n)
-    result = _NaeEngine(n, triangles).solve(budget.max_states)
+    result = _NaeEngine(n, triangles).solve(max_states)
     if result is None:
         return None
     if any(result[u] == result[v] == result[w] for u, v, w in triangles):

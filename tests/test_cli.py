@@ -395,6 +395,24 @@ def test_verify_cut_cross_checks_assignment_via_map(tmp_path, capsys):
     assert out == "invalid: monochromatic triangle 1 2 3\n"
 
 
+def test_verify_cut_with_a_map_builds_only_the_parsed_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("in.cnf").write_text(SPLIT_CNF)
+    for argv in (
+        ("transform", "in.cnf", "-o", "split.cnf"),
+        ("reduce", "split.cnf", "-o", "g.col", "--map", "rmap.txt"),
+        ("solve-nae", "split.cnf", "-o", "wit.txt"),
+        ("solve-cut", "g.col", "-o", "cut.txt"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    builds = []
+    build = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, n, edges=(): builds.append(n) or build(g, n, edges))
+    argv = ("verify", "cut", "g.col", "cut.txt", "--map", "rmap.txt", "--assignment", "wit.txt")
+    assert run(capsys, *argv) == (0, "valid cut\n")
+    assert len(builds) == 1
+
+
 def test_verify_coloring(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")

@@ -225,16 +225,25 @@ def _mutated_map(text, rng):
 
 
 def test_a_reduction_map_that_parses_gets_its_colouring():
+    """Also: such a map lists each edge once, and its lines' order does not
+    change its colouring."""
     rng = random.Random(0)
     parsed = 0
     for seed in range(60):
         split, _ = split_repeated_variables(generate_instance(seed, 4 + seed % 7, 3 + seed % 9))
-        text = emit_reduction_map(build_graph(split)[1])
+        g, rm = build_graph(split)
+        assert len(rm.edge_columns()[0]) == g.num_edges
+        text = emit_reduction_map(rm)
+        lines = text.splitlines()
+        random.Random(seed).shuffle(lines)
+        shuffled = parse_reduction_map("\n".join(lines))
+        assert construct_5_colouring(g, shuffled) == construct_5_colouring(g, rm)
         for _ in range(150):
             try:
                 rm = parse_reduction_map(_mutated_map(text, rng))
             except ValueError:  # FormatError included
                 continue
+            assert len(rm.edge_columns()[0]) == rm.graph.num_edges
             construct_5_colouring(rm.graph, rm)
             parsed += 1
     assert parsed > 500  # a swap or a shift that keeps the map well-formed
